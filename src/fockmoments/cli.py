@@ -9,8 +9,8 @@ Subcommands:
 - ``selfcheck``: internal consistency suites
 
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration or
-validation error, 3 computational cap exceeded.  Output is a pure
-function of the arguments; repeated runs are byte-identical.
+validation error, 3 computational cap exceeded or eigensolver failure.
+Output is a pure function of the arguments; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -37,11 +37,13 @@ from .moments import (
     convergence_csv,
     convergence_json,
     convergence_table,
-    moment_by_tridiagonal,
+    moment_by_tridiagonal,  # noqa: F401  (perfbench/selftest.py traces it here)
     moment_by_words,
+    moments_by_walk,
 )
 from .selfcheck import run_selfcheck
 from .spectral import (
+    EigensolverFailure,
     TruncationTooSmall,
     hermite_state_density,
     ks_distance_to_arcsine,
@@ -75,65 +77,21 @@ class RunConfig:
     fast: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "jacobi": dict(self.jacobi),
-            "states": list(self.states),
-            "orders": list(self.orders),
-            "scale": self.scale,
-            "dim": self.dim,
-            "amplitude_squared": self.amplitude_squared,
-            "panels": self.panels,
-            "engine": self.engine,
-            "fmt": self.fmt,
-            "out": self.out,
-            "plot": self.plot,
-            "density": self.density,
-            "fast": self.fast,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            jacobi=dict(self.jacobi), states=list(self.states), orders=list(self.orders)
+        )
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        known = {
-            "command",
-            "jacobi",
-            "states",
-            "orders",
-            "scale",
-            "dim",
-            "amplitude_squared",
-            "panels",
-            "engine",
-            "fmt",
-            "out",
-            "plot",
-            "density",
-            "fast",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "command" not in data or "jacobi" not in data:
             raise ConfigError("config needs at least 'command' and 'jacobi'")
-        merged = {
-            "states": (),
-            "orders": (),
-            "scale": "1",
-            "dim": None,
-            "amplitude_squared": None,
-            "panels": 256,
-            "engine": "tridiagonal",
-            "fmt": "text",
-            "out": None,
-            "plot": None,
-            "density": False,
-            "fast": False,
-        }
-        merged.update(data)
-        merged["states"] = tuple(int(x) for x in merged["states"])
-        merged["orders"] = tuple(int(x) for x in merged["orders"])
-        merged["jacobi"] = dict(merged["jacobi"])
-        return RunConfig(**merged)
+        ints = {k: tuple(int(x) for x in data.get(k, ())) for k in ("states", "orders")}
+        return RunConfig(**{**data, **ints, "jacobi": dict(data["jacobi"])})
 
 
 def parse_jacobi(text: str) -> JacobiSequence:
@@ -352,8 +310,11 @@ def cmd_moments(cfg: RunConfig) -> int:
     seq = JacobiSequence.from_json(cfg.jacobi)
     state = cfg.states[0]
     scale = _resolve_scale(cfg, seq, state)
-    engine = moment_by_words if cfg.engine == "words" else moment_by_tridiagonal
-    values = [(order, engine(seq, state, order, scale=scale)) for order in cfg.orders]
+    if cfg.engine == "words":
+        moments = [moment_by_words(seq, state, k, scale=scale) for k in cfg.orders]
+    else:
+        moments = moments_by_walk(seq, state, cfg.orders, scale=scale)
+    values = list(zip(cfg.orders, moments))
     if cfg.fmt == "json":
         text = _json_dumps(
             {
@@ -603,7 +564,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return run(cfg)
-    except (CapExceeded, TruncationTooSmall) as exc:
+    except (CapExceeded, EigensolverFailure, TruncationTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -2,8 +2,8 @@
 
 The position observable is X = (a + a*) / sqrt(2).  Its moments in the
 N-th number state are computed either by summing matrix elements of all
-balanced ladder words (the combinatorial route) or by iterating a
-tridiagonal one-step recurrence (the linear-algebra route).  Both are
+balanced ladder words (the combinatorial route) or by one integer pass
+of the tridiagonal level walk (the linear-algebra route).  Both are
 exact over the rationals and must agree identically; keeping both is the
 point, they cross-check each other.
 
@@ -100,41 +100,71 @@ def moment_by_words(
     return total / (2 * s) ** m
 
 
+def walk_returns(
+    seq: JacobiSequence, state: Union[int, NumberState], max_order: int
+) -> list[Fraction]:
+    """Exact diagonal powers (B^j)[N][N] for every j = 0 .. max_order, in one pass.
+
+    In the number basis X is symmetric tridiagonal with zero diagonal and
+    diagonally similar to B, with ones above the diagonal and omega_k / 2
+    below; both have the same diagonal powers.  (B^j)[N][N] sums, over
+    the level walks of length j from N back to N, the product of
+    omega_k / 2 over the up steps k - 1 -> k (Flajolet, Discrete Math.
+    32, 1980).  Such a walk of length <= M = max_order stays within M/2
+    of N, so only omega up to N + M/2 is read, and after step j only the
+    levels within M - j of N are kept.  The up weights are integers
+    W_k = d omega_k / 2, d their common denominator, so entry j is the
+    integer at level N over d^(j/2).  No parity shortcut is taken: odd
+    entries come out 0 by computed cancellation, so callers can verify it.
+    """
+    n = state_index(state)
+    if max_order < 0:
+        raise ValueError(f"moment order must be >= 0, got {max_order}")
+    lo, hi = max(0, n - max_order // 2), n + max_order // 2
+    halves = [seq.omega(k) / 2 for k in range(lo + 1, hi + 1)]
+    d = math.lcm(*(w.denominator for w in halves))
+    # up[i] weighs the step into window level lo + i from the level below
+    up = [0] + [w.numerator * (d // w.denominator) for w in halves]
+    width, at = hi - lo + 1, n - lo
+    # vec[1 + i] holds level lo + i, between one zero pad at each end
+    vec = [0] * (width + 2)
+    vec[1 + at] = 1
+    out = [Fraction(1)]
+    for j in range(1, max_order + 1):
+        reach = min(j, max_order - j)
+        a, b = max(0, at - reach), min(width - 1, at + reach)
+        steps = zip(up[a : b + 1], vec[a : b + 1], vec[a + 2 : b + 3])
+        band = [w * below + above for w, below, above in steps]
+        vec = [0] * (a + 1) + band + [0] * (width - b)
+        out.append(Fraction(vec[1 + at], d ** (j // 2)))
+    return out
+
+
 def tridiagonal_return(
     seq: JacobiSequence, state: Union[int, NumberState], order: int
 ) -> Fraction:
-    """Exact diagonal power (B^n)[N][N] of the one-step level walk.
+    """(B^n)[N][N] of the one-step level walk; entry n of ``walk_returns``."""
+    return walk_returns(seq, state, order)[order]
 
-    In the number basis X is symmetric tridiagonal with zero diagonal and
-    is diagonally similar to the rational matrix B with ones above the
-    diagonal and omega_k / 2 below, which has the same diagonal powers.
-    Computed by n applications of B to the N-th basis vector on the
-    window [max(0, N - n), N + n], which no n-step walk can leave.  No
-    parity shortcut is taken: odd orders come out 0 because every
-    returning walk has even length, and that cancellation is computed,
-    not assumed, which lets callers verify the parity claim itself.
+
+def moments_by_walk(
+    seq: JacobiSequence,
+    state: Union[int, NumberState],
+    orders: Sequence[int],
+    scale: Union[int, str, Fraction] = 1,
+) -> list[Fraction]:
+    """Moments (B^n)[N][N] / s^(n/2) at each of orders, from one walk pass.
+
+    Odd orders short-circuit to 0, so the pass runs only to the largest
+    even order and reads no weight that the word engine would not.
     """
-    n = state_index(state)
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
-    if order == 0:
-        return Fraction(1)
-    lo = max(0, n - order)
-    hi = n + order
-    half = {k: seq.omega(k) / 2 for k in range(max(lo, 1), hi + 1)}
-    vec = [Fraction(0)] * (hi - lo + 1)
-    vec[n - lo] = Fraction(1)
-    for _ in range(order):
-        nxt = [Fraction(0)] * (hi - lo + 1)
-        for k in range(lo, hi + 1):
-            acc = Fraction(0)
-            if k - 1 >= lo:
-                acc += half[k] * vec[k - 1 - lo]
-            if k + 1 <= hi:
-                acc += vec[k + 1 - lo]
-            nxt[k - lo] = acc
-        vec = nxt
-    return vec[n - lo]
+    s = as_fraction(scale)
+    if s <= 0:
+        raise ValueError(f"scale must be positive, got {s}")
+    if any(k < 0 for k in orders):
+        raise ValueError(f"moment order must be >= 0, got {min(orders)}")
+    walk = walk_returns(seq, state, max((k for k in orders if k % 2 == 0), default=0))
+    return [Fraction(0) if k % 2 else walk[k] / s ** (k // 2) for k in orders]
 
 
 def moment_by_tridiagonal(
@@ -143,23 +173,8 @@ def moment_by_tridiagonal(
     order: int,
     scale: Union[int, str, Fraction] = 1,
 ) -> Fraction:
-    """Order-n moment of X / sqrt(s) by the tridiagonal recurrence.
-
-    The moment is (B^n)[N][N] / s^(n/2); see ``tridiagonal_return``.
-    Odd orders short-circuit to 0, the level walk cannot return in an
-    odd number of steps.
-    """
-    n = state_index(state)
-    s = as_fraction(scale)
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
-    if order % 2:
-        return Fraction(0)
-    if order == 0:
-        return Fraction(1)
-    return tridiagonal_return(seq, n, order) / s ** (order // 2)
+    """Order-n moment of X / sqrt(s) by the level walk; see ``moments_by_walk``."""
+    return moments_by_walk(seq, state, (order,), scale)[0]
 
 
 def observable_moment(
@@ -218,10 +233,7 @@ def moment_sequence(
     s = as_fraction(scale)
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    values = tuple(
-        moment_by_tridiagonal(seq, n, order, scale=s)
-        for order in range(max_order + 1)
-    )
+    values = tuple(moments_by_walk(seq, n, range(max_order + 1), scale=s))
     return MomentSequence(jacobi=seq, state=n, scale=s, values=values)
 
 
@@ -312,12 +324,11 @@ def convergence_table(
         if fixed <= 0:
             raise ValueError(f"scale must be positive, got {fixed}")
     rows = []
+    order_list = sorted(set(int(x) for x in orders))
     for n in sorted(set(int(x) for x in states)):
         s = canonical_scale(seq, n) if fixed is None else fixed
-        for order in sorted(set(int(x) for x in orders)):
-            if order < 0:
-                raise ValueError(f"moment order must be >= 0, got {order}")
-            value = moment_by_tridiagonal(seq, n, order, scale=s)
+        values = moments_by_walk(seq, n, order_list, scale=s)
+        for order, value in zip(order_list, values):
             target = arcsine_moment(order)
             env_lo = env_hi = None
             if (

@@ -11,6 +11,7 @@ deliberately.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,10 +19,10 @@ from fractions import Fraction
 from .fock import JacobiSequence, LadderWord, Letter, canonical_scale
 from .laws import validate_moments
 from .moments import (
-    moment_by_tridiagonal,
     moment_by_words,
     moment_envelope,
-    tridiagonal_return,
+    moments_by_walk,
+    walk_returns,
     word_matrix_element,
 )
 from .spectral import density_spectrum_sup
@@ -56,27 +57,51 @@ def _sequences() -> list[tuple[str, JacobiSequence]]:
     ]
 
 
+def _standard_closed_form(n: int, order: int) -> Fraction:
+    """<N|X^order|N> for the standard sequence, all in integers.
+
+    m_2m = (2m)!/m! * sum_k C(N,k) C(m,k) 2^k / 4^m, the coefficient of
+    t^2m / (2m)! in <N|e^(tX)|N> = e^(t^2/4) L_N(-t^2/2).
+    """
+    if order % 2:
+        return Fraction(0)
+    m = order // 2
+    total = sum(math.comb(n, k) * math.comb(m, k) << k for k in range(min(n, m) + 1))
+    return Fraction(math.perm(2 * m, m) * total, 4**m)
+
+
 def _suite_engines(fast: bool) -> SuiteResult:
-    """Word-sum and tridiagonal moments must agree identically."""
+    """Word-sum, level-walk and standard closed-form moments agree identically.
+
+    Each N also gets an explicit list exactly N + max_order/2 long, the
+    fewest weights the word engine reads, so the walk must read no more.
+    """
     max_n = 3 if fast else 5
     max_order = 6 if fast else 8
     scales = (1,) if fast else (1, 2)
+    orders = range(max_order + 1)
+    cases = [(label, seq, n) for label, seq in _sequences() for n in range(max_n + 1)]
+    for n in range(max_n + 1):
+        weights = [Fraction(2 * k + 1, k % 3 + 2) for k in range(n + max_order // 2)]
+        cases.append(("minimal explicit", JacobiSequence.explicit(weights), n))
     checks = 0
-    for label, seq in _sequences():
-        for n in range(max_n + 1):
-            for order in range(max_order + 1):
-                for s in scales:
-                    a = moment_by_words(seq, n, order, scale=s)
-                    b = moment_by_tridiagonal(seq, n, order, scale=s)
-                    checks += 1
-                    if a != b:
-                        return SuiteResult(
-                            "engine-equivalence",
-                            False,
-                            checks,
-                            f"{label}, N={n}, order={order}, s={s}: "
-                            f"words {a} != tridiagonal {b}",
-                        )
+    for label, seq, n in cases:
+        for s in scales:
+            walk = moments_by_walk(seq, n, orders, scale=s)
+            for order in orders:
+                a = moment_by_words(seq, n, order, scale=s)
+                b = c = walk[order]
+                if label == "standard":
+                    c = _standard_closed_form(n, order) / s ** (order // 2)
+                checks += 1
+                if not a == b == c:
+                    return SuiteResult(
+                        "engine-equivalence",
+                        False,
+                        checks,
+                        f"{label}, N={n}, order={order}, s={s}: "
+                        f"words {a}, walk {b}, closed form {c}",
+                    )
     return SuiteResult("engine-equivalence", True, checks)
 
 
@@ -87,8 +112,7 @@ def _suite_envelope(fast: bool) -> SuiteResult:
     orders = (2, 4) if fast else (2, 4, 6, 8)
     checks = 0
     for n in range(1, max_n + 1):
-        for order in orders:
-            value = moment_by_tridiagonal(seq, n, order, scale=n)
+        for order, value in zip(orders, moments_by_walk(seq, n, orders, scale=n)):
             env = moment_envelope(n, order)
             checks += 1
             if not env.lower <= value <= env.upper:
@@ -105,23 +129,23 @@ def _suite_envelope(fast: bool) -> SuiteResult:
 def _suite_odd(fast: bool) -> SuiteResult:
     """Odd diagonal walk powers and odd word sums vanish exactly.
 
-    Uses tridiagonal_return, which takes no parity shortcut, and sums
-    matrix elements over every word of each odd length.
+    Uses walk_returns, which takes no parity shortcut, and sums matrix
+    elements over every word of each odd length.
     """
     max_n = 4 if fast else 8
     max_order = 5 if fast else 9
     checks = 0
     for label, seq in _sequences():
         for n in range(max_n + 1):
+            walk = walk_returns(seq, n, max_order)
             for order in range(1, max_order + 1, 2):
-                value = tridiagonal_return(seq, n, order)
                 checks += 1
-                if value != 0:
+                if walk[order] != 0:
                     return SuiteResult(
                         "odd-vanishing",
                         False,
                         checks,
-                        f"{label}, N={n}, order={order}: walk power {value}",
+                        f"{label}, N={n}, order={order}: walk power {walk[order]}",
                     )
     # every word of odd length is orthogonal to its starting state
     lengths = (1, 3) if fast else (1, 3, 5)
@@ -155,10 +179,7 @@ def _suite_hankel(fast: bool) -> SuiteResult:
             if n >= 1 and canonical_scale(seq, n) != 1:
                 scales.append(canonical_scale(seq, n))
             for s in scales:
-                values = [
-                    moment_by_tridiagonal(seq, n, order, scale=s)
-                    for order in range(max_order + 1)
-                ]
+                values = moments_by_walk(seq, n, range(max_order + 1), scale=s)
                 checks += 1
                 if not validate_moments(values):
                     return SuiteResult(

@@ -43,6 +43,10 @@ class TruncationTooSmall(ValueError):
     """The truncation dimension is too small for the requested state."""
 
 
+class EigensolverFailure(RuntimeError):
+    """The QL iteration did not converge or lost orthonormality."""
+
+
 class Tridiagonal(NamedTuple):
     """A symmetric tridiagonal matrix as (diagonal, off-diagonal) floats."""
 
@@ -118,7 +122,7 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
                 break
             sweeps += 1
             if sweeps > 50:
-                raise RuntimeError(
+                raise EigensolverFailure(
                     f"QL iteration did not converge for eigenvalue {l} "
                     f"within 50 sweeps"
                 )
@@ -160,7 +164,7 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
     squared = tuple(w for _, w in pairs)
     total = math.fsum(squared)
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise RuntimeError(
+        raise EigensolverFailure(
             f"eigenvector row lost orthonormality: squared components sum "
             f"to {total!r}"
         )

@@ -7,9 +7,13 @@ precision and nothing (timestamps, ids, randomness) varies between runs.
 
 from __future__ import annotations
 
+import html
 import math
+from functools import partial
 from typing import Sequence
-from xml.sax.saxutils import escape
+
+# & < > only, as text nodes need; xml.sax.saxutils would import urllib
+escape = partial(html.escape, quote=False)
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 

@@ -294,6 +294,25 @@ def test_caps_exit_3(capsys, args):
     assert "error:" in err
 
 
+def test_minimal_explicit_list_same_on_both_engines(capsys):
+    # omega_1, omega_2 are every weight a length-4 walk from level 0 reads
+    args = ["moments", "--jacobi", "explicit:1,2", "--N", "0", "--orders", "4"]
+    for engine in ("tridiagonal", "words"):
+        code, out, err = run_cli(capsys, args + ["--engine", engine])
+        assert (code, out, err) == (0, "4 3/4\n", "")
+
+
+def test_eigensolver_failure_exit_3(capsys, monkeypatch):
+    import fockmoments.spectral
+
+    # no weight sum can pass a negative tolerance: the orthonormality guard fires
+    monkeypatch.setattr(fockmoments.spectral, "_WEIGHT_SUM_TOL", -1.0)
+    code, out, err = run_cli(capsys, ["reconstruct", "--N", "2", "--K", "8"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_help_and_version_exit_0(capsys):
     assert run_cli(capsys, ["--help"])[0] == 0
     code, out, _ = run_cli(capsys, ["--version"])

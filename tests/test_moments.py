@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockmoments.fock import (
     CapExceeded,
@@ -23,10 +25,13 @@ from fockmoments.moments import (
     moment_by_words,
     moment_envelope,
     moment_sequence,
+    moments_by_walk,
     observable_moment,
     tridiagonal_return,
+    walk_returns,
     word_matrix_element,
 )
+from fockmoments.selfcheck import _standard_closed_form
 
 Q_HALF = JacobiSequence.q_deformed(Fraction(1, 2))
 EXPLICIT = JacobiSequence.explicit([Fraction(n + 1, 2) for n in range(1, 40)])
@@ -143,6 +148,72 @@ def test_tridiagonal_return_no_parity_shortcut():
             assert tridiagonal_return(seq, n, 0) == 1
             for order in (1, 3, 5, 7):
                 assert tridiagonal_return(seq, n, order) == 0
+
+
+def test_walk_returns_every_order_in_one_pass():
+    for seq in SEQUENCES:
+        for n in (0, 1, 5):
+            walk = walk_returns(seq, n, 14)
+            assert len(walk) == 15
+            assert walk == [tridiagonal_return(seq, n, j) for j in range(15)]
+    for n in (0, 1, 7, 300):
+        walk = walk_returns(STANDARD, n, 60)
+        assert walk == [_standard_closed_form(n, j) for j in range(61)]
+
+
+def test_walk_reads_only_the_half_width_window():
+    # a walk of length <= M from level N reads omega_1 .. omega_(N + M/2)
+    for n, top in ((0, 4), (3, 8), (2, 7)):
+        weights = [Fraction(k + 2, k % 4 + 1) for k in range(n + top // 2)]
+        seq = JacobiSequence.explicit(weights)
+        even = top - top % 2
+        assert walk_returns(seq, n, top)[even] == moment_by_words(seq, n, even)
+        with pytest.raises(ValueError, match="undefined"):
+            walk_returns(JacobiSequence.explicit(weights[:-1]), n, top)
+    # odd orders past the last even one read no further weights
+    short = JacobiSequence.explicit(["1", "3/2"])
+    assert moments_by_walk(short, 2, [3, 1]) == [0, 0] == [
+        moment_by_words(short, 2, 3),
+        moment_by_words(short, 2, 1),
+    ]
+
+
+def test_moments_by_walk_matches_single_orders():
+    orders = [8, 0, 3, 2, 8]
+    for seq in SEQUENCES:
+        for scale in (1, Fraction(5, 3)):
+            assert moments_by_walk(seq, 4, orders, scale) == [
+                moment_by_tridiagonal(seq, 4, k, scale) for k in orders
+            ]
+
+
+@st.composite
+def _walk_cases(draw):
+    """A level N, a top order M <= 12, and a rational q or an explicit list
+    exactly N + M/2 long, the fewest weights the word engine reads."""
+    n = draw(st.integers(0, 6))
+    top = draw(st.integers(0, 12))
+    size = n + top // 2
+    weight = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
+    explicit = st.lists(weight, min_size=size, max_size=size)
+    q = st.fractions(0, 1, max_denominator=9)
+    seq = draw(
+        st.one_of(
+            explicit.map(JacobiSequence.explicit), q.map(JacobiSequence.q_deformed)
+        )
+    )
+    return seq, n, top
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_walk_cases())
+def test_walk_equals_words_property(case):
+    seq, n, top = case
+    walk = walk_returns(seq, n, top)
+    for order in range(top + 1):
+        assert walk[order] == moment_by_words(seq, n, order)
+        if order % 2:
+            assert walk[order] == 0
 
 
 def test_moment_input_validation():
