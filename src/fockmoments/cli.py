@@ -45,7 +45,7 @@ from .selfcheck import run_selfcheck
 from .spectral import (
     EigensolverFailure,
     TruncationTooSmall,
-    hermite_state_density,
+    hermite_density_grid,
     ks_distance_to_arcsine,
     lossless_order,
     reconstruct_state_measure,
@@ -380,11 +380,9 @@ def _density_points(
 ) -> list[tuple[float, float]]:
     # density of the scaled position: sqrt(s) * |phi_N(x sqrt(s))|^2
     root = math.sqrt(float(scale))
-    pts = []
-    for i in range(count):
-        x = lo + (hi - lo) * i / (count - 1)
-        pts.append((x, root * hermite_state_density(state, x * root)))
-    return pts
+    xs = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    density = hermite_density_grid(state, [x * root for x in xs])
+    return [(x, root * v) for x, v in zip(xs, density)]
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:

@@ -289,6 +289,14 @@ class LadderWord:
         return iter(self.letters)
 
 
+def _check_word_cap(m: int) -> None:
+    """Raise CapExceeded when balanced words of half-length m are over the cap."""
+    if m > WORD_ORDER_CAP:
+        raise CapExceeded(
+            f"balanced-word half-length {m} exceeds the cap {WORD_ORDER_CAP}"
+        )
+
+
 def enumerate_balanced_words(m: int) -> list[LadderWord]:
     """All length-2m words with m annihilators and m creators.
 
@@ -297,10 +305,7 @@ def enumerate_balanced_words(m: int) -> list[LadderWord]:
     """
     if m < 1:
         raise ValueError(f"balanced words need m >= 1, got {m}")
-    if m > WORD_ORDER_CAP:
-        raise CapExceeded(
-            f"balanced-word half-length {m} exceeds the cap {WORD_ORDER_CAP}"
-        )
+    _check_word_cap(m)
     words = []
     for spots in itertools.combinations(range(2 * m), m):
         letters = [Letter.CREATE] * (2 * m)

@@ -28,9 +28,9 @@ from .fock import (
     Letter,
     NumberState,
     ScaledObservable,
+    _check_word_cap,
     as_fraction,
     canonical_scale,
-    enumerate_balanced_words,
     fraction_str,
     state_index,
 )
@@ -82,6 +82,12 @@ def moment_by_words(
     X^(2m) expands into 2^(-m) times the sum of all length-2m ladder
     words; only the C(2m, m) balanced ones can contribute.  Odd orders
     have no balanced words and vanish identically.
+
+    The words are enumerated depth first, rightmost letter first, over
+    integer weights D_k = d omega_k (d their common denominator): a down
+    step from level k multiplies the prefix by D_k, one from level 0
+    kills the word.  Each word is its own leaf and nothing is grouped by
+    level, so the sum stays independent of ``walk_returns``.
     """
     n = state_index(state)
     s = as_fraction(scale)
@@ -94,10 +100,36 @@ def moment_by_words(
     if order % 2:
         return Fraction(0)
     m = order // 2
-    total = Fraction(0)
-    for word in enumerate_balanced_words(m):
-        total += word_matrix_element(seq, n, word)
-    return total / (2 * s) ** m
+    _check_word_cap(m)
+    # omega_(N+1) .. omega_(N+m) first, as the first word a^m c^m reads them,
+    # so a short explicit list fails on the same omega as word_matrix_element
+    levels = (*range(n + 1, n + m + 1), *range(max(1, n - m + 1), n + 1))
+    omegas = {k: seq.omega(k) for k in levels}
+    d = math.lcm(*(w.denominator for w in omegas.values()))
+    # down[i] weighs a down step from level N - m + i, and is 0 at level 0
+    down = [0] * (2 * m + 1)
+    for k, w in omegas.items():
+        down[k - n + m] = w.numerator * (d // w.denominator)
+    # descent[r] weighs the one word left once the up letters run out,
+    # straight down from level N + r to N
+    descent = [1]
+    for r in range(1, m + 1):
+        descent.append(descent[-1] * down[m + r])
+
+    def words(i: int, ups: int, downs: int, prefix: int) -> int:
+        # the words after a prefix at level N - m + i with weight `prefix`
+        # and `ups` creators, `downs` annihilators left to read
+        if not ups:
+            return prefix * descent[downs]
+        if not downs:
+            return prefix
+        total = words(i + 1, ups - 1, downs, prefix)
+        w = down[i]
+        if w:  # 0: annihilating level 0 kills every word in this branch
+            total += words(i - 1, ups, downs - 1, prefix * w)
+        return total
+
+    return Fraction(words(m, m, m, 1), d**m) / (2 * s) ** m
 
 
 def walk_returns(

@@ -33,7 +33,7 @@ from .laws import arcsine_cdf
 # in pure Python get slow beyond this.
 EIGEN_DIM_CAP = 4096
 
-# hermite_state_density recursion depth guard
+# hermite_density_grid recursion depth guard
 DENSITY_LEVEL_CAP = 200
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -269,27 +269,39 @@ def reconstruct_state_measure(
     return DiscreteMeasure(atoms=tuple(atoms))
 
 
-def hermite_state_density(state: Union[int, NumberState], x: float) -> float:
-    """Position density of the N-th standard-oscillator number state.
+def hermite_density_grid(
+    state: Union[int, NumberState], xs: Sequence[float]
+) -> list[float]:
+    """Position density of the N-th standard-oscillator number state at xs.
 
     Evaluates the weighted orthonormal recurrence
     phi_0 = exp(-x^2/2) / pi^(1/4),
     b_{n+1} phi_{n+1} = x phi_n - b_n phi_{n-1} with b_n = sqrt(n / 2),
-    and returns phi_N(x)^2.  The weighted form stays bounded where the
-    bare Hermite recurrence would overflow.
+    and returns phi_N(x)^2 at every point.  The weighted form stays
+    bounded where the bare Hermite recurrence would overflow.  Each level
+    is one pass over the grid, with the arithmetic of a one-point call.
     """
     n = state_index(state)
     if n > DENSITY_LEVEL_CAP:
         raise CapExceeded(
             f"density level {n} exceeds the cap {DENSITY_LEVEL_CAP}"
         )
-    phi_prev = 0.0
-    phi = math.exp(-0.5 * x * x) / math.pi**0.25
+    norm = math.pi**0.25
+    phi_prev = [0.0] * len(xs)
+    phi = [math.exp(-0.5 * x * x) / norm for x in xs]
     for k in range(n):
         b_next = math.sqrt((k + 1) / 2.0)
         b_here = math.sqrt(k / 2.0)
-        phi_prev, phi = phi, (x * phi - b_here * phi_prev) / b_next
-    return phi * phi
+        phi_prev, phi = phi, [
+            (x * p - b_here * q) / b_next for x, p, q in zip(xs, phi, phi_prev)
+        ]
+    return [p * p for p in phi]
+
+
+def hermite_state_density(state: Union[int, NumberState], x: float) -> float:
+    """Position density of the N-th standard-oscillator number state at x;
+    see ``hermite_density_grid``."""
+    return hermite_density_grid(state, (x,))[0]
 
 
 def ks_distance_to_arcsine(measure: DiscreteMeasure) -> float:
@@ -314,7 +326,7 @@ def density_cdf(state: Union[int, NumberState], xs: Sequence[float]) -> list[flo
     n = state_index(state)
     if len(xs) < 2:
         raise ValueError("need at least two grid points")
-    values = [hermite_state_density(n, x) for x in xs]
+    values = hermite_density_grid(n, xs)
     out = [0.0]
     acc = 0.0
     for i in range(1, len(xs)):

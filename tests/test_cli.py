@@ -286,6 +286,9 @@ def test_invalid_configurations_exit_2(capsys, args):
         ["reconstruct", "--N", "5", "--K", "6"],
         ["moments", "--N", "2", "--orders", "26", "--engine", "words"],
         ["reconstruct", "--N", "2", "--K", "4097"],
+        # the cap is checked before the list is found too short
+        ["moments", "--jacobi", "explicit:1", "--N", "2", "--orders", "26",
+         "--engine", "words"],
     ],
 )
 def test_caps_exit_3(capsys, args):

@@ -13,6 +13,7 @@ from fockmoments.fock import (
     NumberState,
     STANDARD,
     ScaledObservable,
+    enumerate_balanced_words,
 )
 from fockmoments.laws import arcsine_moment, vacuum_gaussian_moment
 from fockmoments.moments import (
@@ -110,6 +111,51 @@ def test_moment_by_words_frozen_values():
     # q = 1/2, N = 3, canonical scale [3]_q = 7/4:
     # ((7/4 + 15/8) / 2) / (7/4) = 29/28, by hand
     assert moment_by_words(Q_HALF, 3, 2, scale=Fraction(7, 4)) == Fraction(29, 28)
+
+
+def _word_definition(seq, n, order):
+    """The unscaled word sum by its definition, one word_matrix_element a word."""
+    m = order // 2
+    total = sum(
+        (word_matrix_element(seq, n, w) for w in enumerate_balanced_words(m)),
+        Fraction(0),
+    )
+    return total / 2**m
+
+
+def _minimal_explicit(n, order):
+    """An explicit list exactly N + order/2 long, every weight the sum reads."""
+    return JacobiSequence.explicit(
+        [Fraction(k + 3, k % 5 + 2) for k in range(n + order // 2)]
+    )
+
+
+def test_word_engine_equals_word_definition():
+    # N < m includes words annihilating the vacuum, which must count 0
+    seqs = [STANDARD, Q_HALF, JacobiSequence.q_deformed(Fraction(2, 3))]
+    for n in range(0, 7):
+        for order in range(2, 13, 2):
+            for seq in seqs + [_minimal_explicit(n, order)]:
+                oracle = _word_definition(seq, n, order)
+                for scale in (1, Fraction(5, 3)):
+                    assert moment_by_words(seq, n, order, scale=scale) == \
+                        oracle / Fraction(scale) ** (order // 2)
+
+
+def test_word_engine_fails_like_word_definition():
+    # one weight short: the same first undefined omega as the definition
+    for n in (0, 1, 3, 6):
+        for order in (2, 4, 8):
+            short = JacobiSequence.explicit(_minimal_explicit(n, order).omegas[:-1])
+            with pytest.raises(ValueError) as by_words:
+                moment_by_words(short, n, order)
+            with pytest.raises(ValueError) as by_definition:
+                _word_definition(short, n, order)
+            assert str(by_words.value) == str(by_definition.value)
+            assert "is undefined" in str(by_words.value)
+    # the cap is checked before any weight is read
+    with pytest.raises(CapExceeded, match="exceeds the cap 12"):
+        moment_by_words(JacobiSequence.explicit(["1"]), 2, 26)
 
 
 def test_moment_trivial_orders():

@@ -17,6 +17,7 @@ from fockmoments.spectral import (
     density_cdf,
     density_spectrum_sup,
     eigendecompose,
+    hermite_density_grid,
     hermite_state_density,
     ks_distance_to_arcsine,
     lossless_order,
@@ -212,11 +213,33 @@ def test_hermite_state_density_normalization_and_variance():
     # total mass 1 and second moment N + 1/2, the exact operator value
     for n in (0, 1, 5, 40):
         xs = np.linspace(-14.0, 14.0, 200_001)
-        dens = np.array([hermite_state_density(n, x) for x in xs])
+        dens = np.array(hermite_density_grid(n, xs.tolist()))
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-8)
         assert np.trapezoid(xs**2 * dens, xs) == pytest.approx(
             n + 0.5, abs=1e-6
         )
+
+
+def _pointwise_density(n, x):
+    # the recurrence one point at a time, as the grid must reproduce it
+    phi_prev = 0.0
+    phi = math.exp(-0.5 * x * x) / math.pi**0.25
+    for k in range(n):
+        b_next = math.sqrt((k + 1) / 2.0)
+        b_here = math.sqrt(k / 2.0)
+        phi_prev, phi = phi, (x * phi - b_here * phi_prev) / b_next
+    return phi * phi
+
+
+def test_hermite_density_grid_matches_pointwise_bit_for_bit():
+    xs = [-31.0, -7.25, -1.0, 0.0, 1e-300, 0.5, 2, 3.75, 40.0]
+    for n in (0, 1, 2, 7, 60, 200):
+        expected = [_pointwise_density(n, x) for x in xs]
+        assert hermite_density_grid(n, xs) == expected
+        assert [hermite_state_density(n, x) for x in xs] == expected
+    assert hermite_density_grid(3, []) == []
+    with pytest.raises(CapExceeded):
+        hermite_density_grid(201, [0.0])
 
 
 def test_hermite_state_density_cap():
