@@ -9,24 +9,17 @@ underlying discrete spectral measures.
 
 from .fock import (
     CapExceeded,
-    ExactScalar,
     JacobiSequence,
     LadderWord,
     Letter,
-    NumberState,
-    ScaledObservable,
     STANDARD,
     WORD_ORDER_CAP,
     as_fraction,
     canonical_scale,
     enumerate_balanced_words,
-    fraction_str,
-    jacobi_weight,
     q_integer,
 )
 from .laws import (
-    ArcsineLaw,
-    ClassicalOscillator,
     arcsine_cdf,
     arcsine_density,
     arcsine_moment,
@@ -47,8 +40,6 @@ from .moments import (
     moment_envelope,
     moment_sequence,
     moments_by_walk,
-    observable_moment,
-    tridiagonal_return,
     walk_returns,
     word_matrix_element,
 )
@@ -72,22 +63,17 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcsineLaw",
     "CapExceeded",
-    "ClassicalOscillator",
     "ConvergenceRow",
     "DiscreteMeasure",
     "EIGEN_DIM_CAP",
     "EigensolverFailure",
-    "ExactScalar",
     "JacobiSequence",
     "LadderWord",
     "Letter",
     "MomentEnvelope",
     "MomentSequence",
-    "NumberState",
     "STANDARD",
-    "ScaledObservable",
     "Tridiagonal",
     "TridiagonalSpectrum",
     "TruncationTooSmall",
@@ -105,10 +91,8 @@ __all__ = [
     "density_spectrum_sup",
     "eigendecompose",
     "enumerate_balanced_words",
-    "fraction_str",
     "hermite_density_grid",
     "hermite_state_density",
-    "jacobi_weight",
     "ks_distance_to_arcsine",
     "lossless_order",
     "moment_by_tridiagonal",
@@ -116,10 +100,8 @@ __all__ = [
     "moment_envelope",
     "moment_sequence",
     "moments_by_walk",
-    "observable_moment",
     "q_integer",
     "reconstruct_state_measure",
-    "tridiagonal_return",
     "truncated_position_matrix",
     "vacuum_gaussian_moment",
     "validate_moments",

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +30,6 @@ from .fock import (
     JacobiSequence,
     as_fraction,
     canonical_scale,
-    fraction_str,
 )
 from .laws import arcsine_density, classical_moment, classical_moment_quadrature
 from .moments import (
@@ -45,6 +44,7 @@ from .selfcheck import run_selfcheck
 from .spectral import (
     EigensolverFailure,
     TruncationTooSmall,
+    _check_density_cap,
     hermite_density_grid,
     ks_distance_to_arcsine,
     lossless_order,
@@ -59,7 +59,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved CLI invocation; round-trips through dicts."""
+    """One fully resolved CLI invocation."""
 
     command: str
     jacobi: dict
@@ -75,23 +75,6 @@ class RunConfig:
     plot: str | None = None
     density: bool = False
     fast: bool = False
-
-    def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(
-            jacobi=dict(self.jacobi), states=list(self.states), orders=list(self.orders)
-        )
-        return data
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        unknown = set(data) - {f.name for f in fields(RunConfig)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "command" not in data or "jacobi" not in data:
-            raise ConfigError("config needs at least 'command' and 'jacobi'")
-        ints = {k: tuple(int(x) for x in data.get(k, ())) for k in ("states", "orders")}
-        return RunConfig(**{**data, **ints, "jacobi": dict(data["jacobi"])})
 
 
 def parse_jacobi(text: str) -> JacobiSequence:
@@ -152,7 +135,7 @@ def _parse_scale(text: str) -> str:
         raise ConfigError(f"--scale: {exc}") from exc
     if value <= 0:
         raise ConfigError(f"--scale must be positive, got {t}")
-    return fraction_str(value)
+    return str(value)
 
 
 def _resolve_scale(cfg: RunConfig, seq: JacobiSequence, state: int) -> Fraction:
@@ -276,7 +259,7 @@ def config_from_args(argv: Sequence[str] | None = None) -> RunConfig:
             command=command,
             jacobi={"kind": "standard"},
             orders=_parse_int_list(ns.orders, "--orders"),
-            amplitude_squared=fraction_str(a2),
+            amplitude_squared=str(a2),
             panels=_parse_single_int(ns.panels, "--panels"),
             fmt=ns.format,
             out=ns.out,
@@ -320,19 +303,19 @@ def cmd_moments(cfg: RunConfig) -> int:
             {
                 "jacobi": cfg.jacobi,
                 "N": state,
-                "scale": fraction_str(scale),
+                "scale": str(scale),
                 "engine": cfg.engine,
                 "rows": [
-                    {"order": order, "value": fraction_str(v)} for order, v in values
+                    {"order": order, "value": str(v)} for order, v in values
                 ],
             }
         )
     elif cfg.fmt == "csv":
         lines = ["order,value"]
-        lines.extend(f"{order},{fraction_str(v)}" for order, v in values)
+        lines.extend(f"{order},{v}" for order, v in values)
         text = "\n".join(lines) + "\n"
     else:
-        text = "".join(f"{order} {fraction_str(v)}\n" for order, v in values)
+        text = "".join(f"{order} {v}\n" for order, v in values)
     _emit(cfg, text)
     return 0
 
@@ -392,6 +375,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     assert cfg.dim is not None
     if cfg.density and seq.kind != "standard":
         raise ConfigError("--density is defined for the standard sequence only")
+    if cfg.density:
+        _check_density_cap(state)  # no eigensolve for a density over the cap
     measure = reconstruct_state_measure(seq, state, cfg.dim, scale=scale)
     if lossless_order(state, cfg.dim) <= 2:
         print(
@@ -411,7 +396,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             "jacobi": cfg.jacobi,
             "N": state,
             "K": cfg.dim,
-            "scale": fraction_str(scale),
+            "scale": str(scale),
             "ks_to_arcsine": ks,
             "locations": list(measure.locations),
             "weights": list(measure.weights),
@@ -432,7 +417,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         print(f"ks_to_arcsine = {ks!r}")
     else:
         lines = [
-            f"# N = {state}, K = {cfg.dim}, scale = {fraction_str(scale)}",
+            f"# N = {state}, K = {cfg.dim}, scale = {scale}",
             "# location weight",
         ]
         lines.extend(f"{x!r} {w!r}" for x, w in measure.atoms)
@@ -499,7 +484,7 @@ def cmd_classical(cfg: RunConfig) -> int:
                 "rows": [
                     {
                         "order": order,
-                        "exact": fraction_str(exact),
+                        "exact": str(exact),
                         "quadrature": quad,
                         "abs_diff": diff,
                     }
@@ -510,13 +495,13 @@ def cmd_classical(cfg: RunConfig) -> int:
     elif cfg.fmt == "csv":
         lines = ["order,exact,quadrature,abs_diff"]
         lines.extend(
-            f"{order},{fraction_str(exact)},{quad!r},{diff!r}"
+            f"{order},{exact},{quad!r},{diff!r}"
             for order, exact, quad, diff in rows
         )
         text = "\n".join(lines) + "\n"
     else:
         text = "".join(
-            f"{order} {fraction_str(exact)} {quad!r} {diff:.3e}\n"
+            f"{order} {exact} {quad!r} {diff:.3e}\n"
             for order, exact, quad, diff in rows
         )
     _emit(cfg, text)

@@ -19,9 +19,6 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-# Exact scalars are plain Fractions; the alias marks intent in signatures.
-ExactScalar = Fraction
-
 # Balanced-word enumeration is capped at this half-length m, i.e. at
 # C(2m, m) = 2704156 words, to guard against combinatorial blowup.
 WORD_ORDER_CAP = 12
@@ -52,11 +49,6 @@ def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
             f"floats are not exact, pass a 'p/q' string instead of {value!r}"
         )
     raise ValueError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def fraction_str(value: Fraction) -> str:
-    """Canonical ``"p/q"`` (or ``"p"`` for integers) form of a Fraction."""
-    return str(value)
 
 
 def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
@@ -170,19 +162,14 @@ class JacobiSequence:
         if self.kind == "standard":
             return {"kind": "standard"}
         if self.kind == "q":
-            return {"kind": "q", "q": fraction_str(self.q)}
-        return {"kind": "explicit", "omega": [fraction_str(w) for w in self.omegas]}
+            return {"kind": "q", "q": str(self.q)}
+        return {"kind": "explicit", "omega": [str(w) for w in self.omegas]}
 
 
 STANDARD = JacobiSequence.standard()
 
 
-def jacobi_weight(seq: JacobiSequence, n: int) -> Fraction:
-    """Convenience accessor for ``seq.omega(n)``."""
-    return seq.omega(n)
-
-
-def canonical_scale(seq: JacobiSequence, state: Union[int, "NumberState"]) -> Fraction:
+def canonical_scale(seq: JacobiSequence, state: int) -> Fraction:
     """The natural normalization for the number state at level N.
 
     For the standard oscillator this is N, for the q-deformed one the
@@ -199,47 +186,13 @@ def canonical_scale(seq: JacobiSequence, state: Union[int, "NumberState"]) -> Fr
     return seq.omega(n)
 
 
-@dataclass(frozen=True)
-class NumberState:
-    """The N-th number state (orthonormal basis vector at level N)."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"number state index must be >= 0, got {self.index}")
-
-
-def state_index(state: Union[int, NumberState]) -> int:
-    """Normalize an int-or-NumberState argument to a validated level."""
-    n = state.index if isinstance(state, NumberState) else state
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"state must be an int or NumberState, got {state!r}")
-    if n < 0:
-        raise ValueError(f"number state index must be >= 0, got {n}")
-    return n
-
-
-@dataclass(frozen=True)
-class ScaledObservable:
-    """A Jacobi sequence together with a positive variance scale s.
-
-    Represents the position observable divided by sqrt(s); its order-n
-    moment is the unscaled moment divided by s^(n/2).
-    """
-
-    jacobi: JacobiSequence
-    scale: Fraction
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @staticmethod
-    def canonical(
-        seq: JacobiSequence, state: Union[int, NumberState]
-    ) -> "ScaledObservable":
-        return ScaledObservable(jacobi=seq, scale=canonical_scale(seq, state))
+def state_index(state: int) -> int:
+    """Validate a number-state level: a non-negative int, not a bool."""
+    if not isinstance(state, int) or isinstance(state, bool):
+        raise ValueError(f"state must be an int, got {state!r}")
+    if state < 0:
+        raise ValueError(f"number state index must be >= 0, got {state}")
+    return state
 
 
 class Letter(IntEnum):

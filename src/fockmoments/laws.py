@@ -9,11 +9,10 @@ classical harmonic oscillator of amplitude sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .fock import ExactScalar, as_fraction, fraction_str
+from .fock import as_fraction
 
 SUPPORT_RADIUS = math.sqrt(2.0)
 
@@ -46,33 +45,6 @@ def arcsine_cdf(x: float) -> float:
     if x >= SUPPORT_RADIUS:
         return 1.0
     return 0.5 + math.asin(x / SUPPORT_RADIUS) / math.pi
-
-
-@dataclass(frozen=True)
-class ArcsineLaw:
-    """The arcsine law on [-sqrt(2), sqrt(2)]."""
-
-    @property
-    def support_radius(self) -> float:
-        return SUPPORT_RADIUS
-
-    def moment(self, order: int) -> Fraction:
-        return arcsine_moment(order)
-
-    def density(self, x: float) -> float:
-        return arcsine_density(x)
-
-    def cdf(self, x: float) -> float:
-        return arcsine_cdf(x)
-
-    def to_json(self, max_order: int) -> dict:
-        if max_order < 0:
-            raise ValueError(f"max_order must be >= 0, got {max_order}")
-        return {
-            "law": "arcsine",
-            "params": {},
-            "moments": [fraction_str(arcsine_moment(n)) for n in range(max_order + 1)],
-        }
 
 
 def vacuum_gaussian_moment(order: int) -> Fraction:
@@ -127,54 +99,6 @@ def classical_moment_quadrature(
     for j in range(panels):
         total += (amplitude * math.sin(2.0 * math.pi * j / panels)) ** order
     return total / panels
-
-
-@dataclass(frozen=True)
-class ClassicalOscillator:
-    """A classical harmonic oscillator observed at a uniform random time.
-
-    Its position x(t) = A sin(t) has the arcsine distribution on [-A, A];
-    the squared amplitude is kept rational so moments are exact.  With
-    A^2 = 2 the distribution is the arcsine law itself.
-    """
-
-    amplitude_squared: Fraction
-
-    def __post_init__(self) -> None:
-        if self.amplitude_squared <= 0:
-            raise ValueError(
-                f"squared amplitude must be positive, got {self.amplitude_squared}"
-            )
-
-    @property
-    def amplitude(self) -> float:
-        return math.sqrt(float(self.amplitude_squared))
-
-    def moment(self, order: int) -> Fraction:
-        return classical_moment(self.amplitude_squared, order)
-
-    def density(self, x: float) -> float:
-        r = float(self.amplitude_squared) - x * x
-        if r <= 0.0:
-            return 0.0
-        return 1.0 / (math.pi * math.sqrt(r))
-
-    def cdf(self, x: float) -> float:
-        a = self.amplitude
-        if x <= -a:
-            return 0.0
-        if x >= a:
-            return 1.0
-        return 0.5 + math.asin(x / a) / math.pi
-
-    def to_json(self, max_order: int) -> dict:
-        if max_order < 0:
-            raise ValueError(f"max_order must be >= 0, got {max_order}")
-        return {
-            "law": "classical",
-            "params": {"A2": fraction_str(self.amplitude_squared)},
-            "moments": [fraction_str(self.moment(n)) for n in range(max_order + 1)],
-        }
 
 
 def validate_moments(values: Iterable[Union[int, str, Fraction]]) -> bool:

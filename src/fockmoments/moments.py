@@ -26,19 +26,16 @@ from .fock import (
     JacobiSequence,
     LadderWord,
     Letter,
-    NumberState,
-    ScaledObservable,
     _check_word_cap,
     as_fraction,
     canonical_scale,
-    fraction_str,
     state_index,
 )
 from .laws import arcsine_moment
 
 
 def word_matrix_element(
-    seq: JacobiSequence, state: Union[int, NumberState], word: LadderWord
+    seq: JacobiSequence, state: int, word: LadderWord
 ) -> Fraction:
     """Exact matrix element of a ladder word in the N-th number state.
 
@@ -73,7 +70,7 @@ def word_matrix_element(
 
 def moment_by_words(
     seq: JacobiSequence,
-    state: Union[int, NumberState],
+    state: int,
     order: int,
     scale: Union[int, str, Fraction] = 1,
 ) -> Fraction:
@@ -133,7 +130,7 @@ def moment_by_words(
 
 
 def walk_returns(
-    seq: JacobiSequence, state: Union[int, NumberState], max_order: int
+    seq: JacobiSequence, state: int, max_order: int
 ) -> list[Fraction]:
     """Exact diagonal powers (B^j)[N][N] for every j = 0 .. max_order, in one pass.
 
@@ -172,16 +169,9 @@ def walk_returns(
     return out
 
 
-def tridiagonal_return(
-    seq: JacobiSequence, state: Union[int, NumberState], order: int
-) -> Fraction:
-    """(B^n)[N][N] of the one-step level walk; entry n of ``walk_returns``."""
-    return walk_returns(seq, state, order)[order]
-
-
 def moments_by_walk(
     seq: JacobiSequence,
-    state: Union[int, NumberState],
+    state: int,
     orders: Sequence[int],
     scale: Union[int, str, Fraction] = 1,
 ) -> list[Fraction]:
@@ -201,21 +191,12 @@ def moments_by_walk(
 
 def moment_by_tridiagonal(
     seq: JacobiSequence,
-    state: Union[int, NumberState],
+    state: int,
     order: int,
     scale: Union[int, str, Fraction] = 1,
 ) -> Fraction:
     """Order-n moment of X / sqrt(s) by the level walk; see ``moments_by_walk``."""
     return moments_by_walk(seq, state, (order,), scale)[0]
-
-
-def observable_moment(
-    observable: ScaledObservable, state: Union[int, NumberState], order: int
-) -> Fraction:
-    """Moment of a scaled observable, via the tridiagonal route."""
-    return moment_by_tridiagonal(
-        observable.jacobi, state, order, scale=observable.scale
-    )
 
 
 @dataclass(frozen=True)
@@ -249,14 +230,14 @@ class MomentSequence:
         return {
             "jacobi": self.jacobi.to_json(),
             "state": self.state,
-            "scale": fraction_str(self.scale),
-            "moments": [fraction_str(v) for v in self.values],
+            "scale": str(self.scale),
+            "moments": [str(v) for v in self.values],
         }
 
 
 def moment_sequence(
     seq: JacobiSequence,
-    state: Union[int, NumberState],
+    state: int,
     max_order: int,
     scale: Union[int, str, Fraction] = 1,
 ) -> MomentSequence:
@@ -279,7 +260,7 @@ class MomentEnvelope:
     upper: Fraction
 
 
-def moment_envelope(state: Union[int, NumberState], order: int) -> MomentEnvelope:
+def moment_envelope(state: int, order: int) -> MomentEnvelope:
     """Sandwich bounds for standard-oscillator moments at canonical scale.
 
     For the standard sequence at scale s = N the 2m-th moment lies in
@@ -387,7 +368,7 @@ def convergence_table(
 
 
 def _cell(value: Fraction | None) -> str:
-    return "" if value is None else fraction_str(value)
+    return "" if value is None else str(value)
 
 
 def convergence_csv(rows: Sequence[ConvergenceRow]) -> str:
@@ -400,9 +381,9 @@ def convergence_csv(rows: Sequence[ConvergenceRow]) -> str:
             [
                 str(row.state),
                 str(row.order),
-                fraction_str(row.scaled_moment),
-                fraction_str(row.target),
-                fraction_str(row.abs_diff),
+                str(row.scaled_moment),
+                str(row.target),
+                str(row.abs_diff),
                 _cell(row.env_lo),
                 _cell(row.env_hi),
             ]
@@ -418,12 +399,12 @@ def convergence_json(rows: Sequence[ConvergenceRow]) -> list[dict]:
             {
                 "N": row.state,
                 "order": row.order,
-                "scale": fraction_str(row.scale),
-                "scaled_moment": fraction_str(row.scaled_moment),
-                "target": fraction_str(row.target),
-                "abs_diff": fraction_str(row.abs_diff),
-                "env_lo": None if row.env_lo is None else fraction_str(row.env_lo),
-                "env_hi": None if row.env_hi is None else fraction_str(row.env_hi),
+                "scale": str(row.scale),
+                "scaled_moment": str(row.scaled_moment),
+                "target": str(row.target),
+                "abs_diff": str(row.abs_diff),
+                "env_lo": None if row.env_lo is None else str(row.env_lo),
+                "env_hi": None if row.env_hi is None else str(row.env_hi),
             }
         )
     return out

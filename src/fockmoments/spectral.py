@@ -23,7 +23,6 @@ from typing import NamedTuple, Sequence, Union
 from .fock import (
     CapExceeded,
     JacobiSequence,
-    NumberState,
     as_fraction,
     state_index,
 )
@@ -54,14 +53,33 @@ class Tridiagonal(NamedTuple):
     offdiag: tuple[float, ...]
 
 
+def _check_dim_cap(dim: int) -> None:
+    """Raise CapExceeded when a truncation is over the eigensolver cap."""
+    if dim > EIGEN_DIM_CAP:
+        raise CapExceeded(
+            f"truncation dimension {dim} exceeds the eigensolver cap "
+            f"{EIGEN_DIM_CAP}"
+        )
+
+
+def _check_density_cap(n: int) -> None:
+    """Raise CapExceeded when a density level is over the recursion cap."""
+    if n > DENSITY_LEVEL_CAP:
+        raise CapExceeded(
+            f"density level {n} exceeds the cap {DENSITY_LEVEL_CAP}"
+        )
+
+
 def truncated_position_matrix(seq: JacobiSequence, dim: int) -> Tridiagonal:
     """The position operator X = (a + a*) / sqrt(2) on the first dim levels.
 
     The diagonal is zero and the off-diagonal entries are
-    sqrt(omega_n / 2), n = 1 .. dim - 1.
+    sqrt(omega_n / 2), n = 1 .. dim - 1.  The eigensolver cap is checked
+    before any weight is read.
     """
     if dim < 1:
         raise ValueError(f"truncation dimension must be >= 1, got {dim}")
+    _check_dim_cap(dim)
     off = tuple(math.sqrt(float(seq.omega(n)) / 2.0) for n in range(1, dim))
     return Tridiagonal(diag=(0.0,) * dim, offdiag=off)
 
@@ -96,11 +114,7 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
             f"off-diagonal length {len(matrix.offdiag)} does not match "
             f"dimension {dim}"
         )
-    if dim > EIGEN_DIM_CAP:
-        raise CapExceeded(
-            f"truncation dimension {dim} exceeds the eigensolver cap "
-            f"{EIGEN_DIM_CAP}"
-        )
+    _check_dim_cap(dim)
     if not 0 <= row < dim:
         raise ValueError(f"row {row} outside 0..{dim - 1}")
 
@@ -226,7 +240,7 @@ class DiscreteMeasure:
         }
 
 
-def lossless_order(state: Union[int, NumberState], dim: int) -> int:
+def lossless_order(state: int, dim: int) -> int:
     """Largest moment order the K-level truncation reproduces exactly.
 
     A power of the one-step level walk starting and ending at N feels the
@@ -238,7 +252,7 @@ def lossless_order(state: Union[int, NumberState], dim: int) -> int:
 
 def reconstruct_state_measure(
     seq: JacobiSequence,
-    state: Union[int, NumberState],
+    state: int,
     dim: int,
     scale: Union[int, str, Fraction] = 1,
 ) -> DiscreteMeasure:
@@ -270,7 +284,7 @@ def reconstruct_state_measure(
 
 
 def hermite_density_grid(
-    state: Union[int, NumberState], xs: Sequence[float]
+    state: int, xs: Sequence[float]
 ) -> list[float]:
     """Position density of the N-th standard-oscillator number state at xs.
 
@@ -282,10 +296,7 @@ def hermite_density_grid(
     is one pass over the grid, with the arithmetic of a one-point call.
     """
     n = state_index(state)
-    if n > DENSITY_LEVEL_CAP:
-        raise CapExceeded(
-            f"density level {n} exceeds the cap {DENSITY_LEVEL_CAP}"
-        )
+    _check_density_cap(n)
     norm = math.pi**0.25
     phi_prev = [0.0] * len(xs)
     phi = [math.exp(-0.5 * x * x) / norm for x in xs]
@@ -298,7 +309,7 @@ def hermite_density_grid(
     return [p * p for p in phi]
 
 
-def hermite_state_density(state: Union[int, NumberState], x: float) -> float:
+def hermite_state_density(state: int, x: float) -> float:
     """Position density of the N-th standard-oscillator number state at x;
     see ``hermite_density_grid``."""
     return hermite_density_grid(state, (x,))[0]
@@ -321,7 +332,7 @@ def ks_distance_to_arcsine(measure: DiscreteMeasure) -> float:
     return best
 
 
-def density_cdf(state: Union[int, NumberState], xs: Sequence[float]) -> list[float]:
+def density_cdf(state: int, xs: Sequence[float]) -> list[float]:
     """Cumulative trapezoid integral of the state density along a grid."""
     n = state_index(state)
     if len(xs) < 2:
@@ -339,7 +350,7 @@ def density_cdf(state: Union[int, NumberState], xs: Sequence[float]) -> list[flo
 
 
 def density_spectrum_sup(
-    state: Union[int, NumberState], dim: int, panels: int = 20000
+    state: int, dim: int, panels: int = 20000
 ) -> float:
     """Sup distance between spectral and density CDFs of a standard state.
 

@@ -27,7 +27,7 @@ from fockmoments.moments import (
     moment_by_words,
     moment_envelope,
     moment_sequence,
-    tridiagonal_return,
+    walk_returns,
     word_matrix_element,
 )
 from fockmoments.spectral import (
@@ -110,7 +110,7 @@ def test_criterion_04_odd_moments_vanish():
                     assert moment_by_words(seq, n, order) == 0
                     assert moment_by_tridiagonal(seq, n, order) == 0
                     # the no-shortcut walk power vanishes by cancellation
-                    assert tridiagonal_return(seq, n, order) == 0
+                    assert walk_returns(seq, n, order)[order] == 0
 
 
 def test_criterion_05_per_word_sandwich():

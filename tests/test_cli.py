@@ -289,12 +289,27 @@ def test_invalid_configurations_exit_2(capsys, args):
         # the cap is checked before the list is found too short
         ["moments", "--jacobi", "explicit:1", "--N", "2", "--orders", "26",
          "--engine", "words"],
+        ["reconstruct", "--jacobi", "explicit:1,2,3", "--N", "0", "--K", "5000"],
     ],
 )
 def test_caps_exit_3(capsys, args):
     code, _, err = run_cli(capsys, args)
     assert code == 3
     assert "error:" in err
+
+
+def test_density_cap_checked_before_eigensolve(capsys, monkeypatch):
+    import fockmoments.cli
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("reconstruct_state_measure ran past the density cap")
+
+    monkeypatch.setattr(fockmoments.cli, "reconstruct_state_measure", no_eigensolve)
+    args = ["reconstruct", "--N", "201", "--K", "300", "--density"]
+    code, out, err = run_cli(capsys, args)
+    assert code == 3
+    assert out == ""
+    assert err == "error: density level 201 exceeds the cap 200\n"
 
 
 def test_minimal_explicit_list_same_on_both_engines(capsys):
@@ -323,35 +338,50 @@ def test_help_and_version_exit_0(capsys):
 
 
 def test_config_round_trip():
+    # argv resolves to exactly these fields; every other field keeps its default
+    standard = {"kind": "standard"}
     cases = [
-        ["moments", "--N", "4", "--orders", "4", "--scale", "4"],
-        [
-            "converge",
-            "--jacobi",
-            "q=1/2",
-            "--N",
-            "1,10",
-            "--orders",
-            "2,4",
-            "--format",
-            "json",
-        ],
-        ["reconstruct", "--N", "3", "--K", "30", "--density", "--out", "x.csv"],
-        ["classical", "--A2", "5/2", "--panels", "64"],
-        ["selfcheck", "--fast"],
+        (
+            ["moments", "--N", "4", "--orders", "4", "--scale", "4"],
+            dict(jacobi=standard, states=(4,), orders=(4,), scale="4"),
+        ),
+        (
+            [
+                "converge",
+                "--jacobi",
+                "q=1/2",
+                "--N",
+                "1,10",
+                "--orders",
+                "2,4",
+                "--format",
+                "json",
+            ],
+            dict(
+                jacobi={"kind": "q", "q": "1/2"},
+                states=(1, 10),
+                orders=(2, 4),
+                scale="canonical",
+                fmt="json",
+            ),
+        ),
+        (
+            ["reconstruct", "--N", "3", "--K", "30", "--density", "--out", "x.csv"],
+            dict(jacobi=standard, states=(3,), dim=30, density=True, out="x.csv"),
+        ),
+        (
+            ["classical", "--A2", "5/2", "--panels", "64"],
+            dict(
+                jacobi=standard,
+                orders=tuple(range(9)),
+                amplitude_squared="5/2",
+                panels=64,
+            ),
+        ),
+        (["selfcheck", "--fast"], dict(jacobi=standard, fast=True)),
     ]
-    for argv in cases:
-        cfg = config_from_args(argv)
-        encoded = cfg.to_dict()
-        json.dumps(encoded)  # must be JSON-serializable
-        assert RunConfig.from_dict(encoded) == cfg
-
-
-def test_run_config_from_dict_validation():
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"command": "moments", "jacobi": {}, "bogus": 1})
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"command": "moments"})
+    for argv, resolved in cases:
+        assert config_from_args(argv) == RunConfig(command=argv[0], **resolved)
 
 
 def test_parse_jacobi_forms():

@@ -2,21 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockmoments.fock import (
     CapExceeded,
     JacobiSequence,
     LadderWord,
     Letter,
-    NumberState,
-    ScaledObservable,
     STANDARD,
     WORD_ORDER_CAP,
     as_fraction,
     canonical_scale,
     enumerate_balanced_words,
-    fraction_str,
-    jacobi_weight,
     q_integer,
     state_index,
 )
@@ -43,9 +41,9 @@ def test_as_fraction_rejects_inexact_or_garbage():
         as_fraction(None)
 
 
-def test_fraction_str_round_trips():
+def test_str_of_fraction_round_trips():
     for value in (Fraction(7, 4), Fraction(-3), Fraction(0), Fraction(123, 64)):
-        assert as_fraction(fraction_str(value)) == value
+        assert as_fraction(str(value)) == value
 
 
 def test_q_integer_values():
@@ -120,6 +118,20 @@ def test_sequence_json_round_trip():
         assert JacobiSequence.from_json(seq.to_json()) == seq
 
 
+_RATIONAL = st.builds(Fraction, st.integers(1, 60), st.integers(1, 11))
+_SEQUENCES = st.one_of(
+    st.just(STANDARD),
+    st.fractions(0, 1, max_denominator=13).map(JacobiSequence.q_deformed),
+    st.lists(_RATIONAL, min_size=1, max_size=12).map(JacobiSequence.explicit),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_SEQUENCES)
+def test_sequence_json_round_trip_property(seq):
+    assert JacobiSequence.from_json(seq.to_json()) == seq
+
+
 def test_sequence_json_schema_forms():
     assert JacobiSequence.from_json({"kind": "standard"}) == STANDARD
     q = JacobiSequence.from_json({"kind": "q", "q": "1/2"})
@@ -144,10 +156,6 @@ def test_sequence_json_rejects_malformed():
         JacobiSequence.from_json(["standard"])
 
 
-def test_jacobi_weight_helper():
-    assert jacobi_weight(STANDARD, 7) == 7
-
-
 def test_canonical_scale():
     assert canonical_scale(STANDARD, 10) == 10
     assert canonical_scale(JacobiSequence.q_deformed(Fraction(1, 2)), 3) == Fraction(7, 4)
@@ -159,27 +167,13 @@ def test_canonical_scale():
 
 
 def test_number_state_and_coercion():
-    assert state_index(NumberState(4)) == 4
     assert state_index(7) == 7
-    with pytest.raises(ValueError):
-        NumberState(-1)
     with pytest.raises(ValueError):
         state_index(-2)
     with pytest.raises(ValueError):
         state_index(True)
     with pytest.raises(ValueError):
         state_index("3")
-
-
-def test_scaled_observable():
-    obs = ScaledObservable(jacobi=STANDARD, scale=Fraction(4))
-    assert obs.scale == 4
-    canonical = ScaledObservable.canonical(STANDARD, 6)
-    assert canonical.scale == 6
-    with pytest.raises(ValueError):
-        ScaledObservable(jacobi=STANDARD, scale=Fraction(0))
-    with pytest.raises(ValueError):
-        ScaledObservable.canonical(STANDARD, 0)
 
 
 def test_ladder_word_parsing():

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from fockmoments.laws import (
-    ArcsineLaw,
-    ClassicalOscillator,
     SUPPORT_RADIUS,
     arcsine_cdf,
     arcsine_density,
@@ -54,7 +52,7 @@ def test_arcsine_cdf_monotone_and_matches_density():
     values = [arcsine_cdf(x) for x in xs]
     assert all(b >= a for a, b in zip(values, values[1:]))
     h = 1e-6
-    for x in (-1.2, -0.5, 0.3, 1.0):
+    for x in (-1.2, -0.5, 0.0, 0.3, 1.0):
         slope = (arcsine_cdf(x + h) - arcsine_cdf(x - h)) / (2 * h)
         assert slope == pytest.approx(arcsine_density(x), rel=1e-6)
 
@@ -62,22 +60,6 @@ def test_arcsine_cdf_monotone_and_matches_density():
 def test_arcsine_density_outside_support():
     assert arcsine_density(1.5) == 0.0
     assert arcsine_density(-7.0) == 0.0
-
-
-def test_arcsine_law_object():
-    law = ArcsineLaw()
-    assert law.support_radius == pytest.approx(math.sqrt(2.0))
-    assert law.moment(4) == Fraction(3, 2)
-    assert law.cdf(0.0) == pytest.approx(0.5)
-    assert law.density(0.0) == pytest.approx(1.0 / (math.pi * math.sqrt(2.0)))
-    payload = law.to_json(4)
-    assert payload == {
-        "law": "arcsine",
-        "params": {},
-        "moments": ["1", "0", "1", "0", "3/2"],
-    }
-    with pytest.raises(ValueError):
-        law.to_json(-1)
 
 
 def test_vacuum_gaussian_moments():
@@ -134,26 +116,6 @@ def test_classical_quadrature_validation():
         classical_moment_quadrature(-1.0, 2)
     with pytest.raises(ValueError):
         classical_moment_quadrature(1.0, -2)
-
-
-def test_classical_oscillator_object():
-    osc = ClassicalOscillator(amplitude_squared=Fraction(2))
-    assert osc.amplitude == pytest.approx(math.sqrt(2.0))
-    assert osc.moment(4) == Fraction(3, 2)
-    for x in (-1.0, 0.0, 0.7):
-        assert osc.cdf(x) == pytest.approx(arcsine_cdf(x), abs=1e-14)
-        assert osc.density(x) == pytest.approx(arcsine_density(x), abs=1e-14)
-    assert osc.cdf(-5.0) == 0.0
-    assert osc.cdf(5.0) == 1.0
-    assert osc.density(3.0) == 0.0
-    payload = osc.to_json(2)
-    assert payload == {
-        "law": "classical",
-        "params": {"A2": "2"},
-        "moments": ["1", "0", "1"],
-    }
-    with pytest.raises(ValueError):
-        ClassicalOscillator(amplitude_squared=Fraction(-1))
 
 
 def test_validate_moments_accepts_genuine_sequences():

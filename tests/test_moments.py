@@ -10,12 +10,10 @@ from fockmoments.fock import (
     CapExceeded,
     JacobiSequence,
     LadderWord,
-    NumberState,
     STANDARD,
-    ScaledObservable,
     enumerate_balanced_words,
 )
-from fockmoments.laws import arcsine_moment, vacuum_gaussian_moment
+from fockmoments.laws import arcsine_moment, vacuum_gaussian_moment, validate_moments
 from fockmoments.moments import (
     CONVERGENCE_COLUMNS,
     MomentSequence,
@@ -27,8 +25,6 @@ from fockmoments.moments import (
     moment_envelope,
     moment_sequence,
     moments_by_walk,
-    observable_moment,
-    tridiagonal_return,
     walk_returns,
     word_matrix_element,
 )
@@ -97,7 +93,10 @@ def test_word_element_simple_pairs():
 
 def test_word_element_accepts_number_state():
     word = LadderWord.from_string("ac")
-    assert word_matrix_element(STANDARD, NumberState(2), word) == 3
+    assert word_matrix_element(STANDARD, 2, word) == 3
+    for bad in (-1, True, "2"):
+        with pytest.raises(ValueError):
+            word_matrix_element(STANDARD, bad, word)
 
 
 def test_moment_by_words_frozen_values():
@@ -188,12 +187,12 @@ def test_tridiagonal_against_float_matrix_power():
         assert abs(power[n, n] - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
-def test_tridiagonal_return_no_parity_shortcut():
+def test_walk_returns_no_parity_shortcut():
     for seq in (STANDARD, Q_HALF):
         for n in range(0, 6):
-            assert tridiagonal_return(seq, n, 0) == 1
+            assert walk_returns(seq, n, 0)[0] == 1
             for order in (1, 3, 5, 7):
-                assert tridiagonal_return(seq, n, order) == 0
+                assert walk_returns(seq, n, order)[order] == 0
 
 
 def test_walk_returns_every_order_in_one_pass():
@@ -201,7 +200,7 @@ def test_walk_returns_every_order_in_one_pass():
         for n in (0, 1, 5):
             walk = walk_returns(seq, n, 14)
             assert len(walk) == 15
-            assert walk == [tridiagonal_return(seq, n, j) for j in range(15)]
+            assert walk == [walk_returns(seq, n, j)[j] for j in range(15)]
     for n in (0, 1, 7, 300):
         walk = walk_returns(STANDARD, n, 60)
         assert walk == [_standard_closed_form(n, j) for j in range(61)]
@@ -234,11 +233,11 @@ def test_moments_by_walk_matches_single_orders():
 
 
 @st.composite
-def _walk_cases(draw):
-    """A level N, a top order M <= 12, and a rational q or an explicit list
-    exactly N + M/2 long, the fewest weights the word engine reads."""
+def _walk_cases(draw, max_top=12):
+    """A level N, a top order M <= max_top, and a rational q or an explicit
+    list exactly N + M/2 long, the fewest weights the word engine reads."""
     n = draw(st.integers(0, 6))
-    top = draw(st.integers(0, 12))
+    top = draw(st.integers(0, max_top))
     size = n + top // 2
     weight = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
     explicit = st.lists(weight, min_size=size, max_size=size)
@@ -262,6 +261,16 @@ def test_walk_equals_words_property(case):
             assert walk[order] == 0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    _walk_cases(max_top=10),
+    st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+)
+def test_walk_moments_are_moments_property(case, scale):
+    seq, n, top = case
+    assert validate_moments(moments_by_walk(seq, n, range(top + 1), scale=scale))
+
+
 def test_moment_input_validation():
     with pytest.raises(ValueError):
         moment_by_words(STANDARD, 2, -1)
@@ -278,13 +287,6 @@ def test_moment_input_validation():
 def test_vacuum_moments_match_gaussian():
     for m in range(0, 9):
         assert moment_by_tridiagonal(STANDARD, 0, 2 * m) == vacuum_gaussian_moment(2 * m)
-
-
-def test_observable_moment():
-    obs = ScaledObservable.canonical(STANDARD, 4)
-    assert observable_moment(obs, 4, 4) == Fraction(123, 64)
-    unit = ScaledObservable(jacobi=STANDARD, scale=Fraction(1))
-    assert observable_moment(unit, 1, 4) == Fraction(15, 4)
 
 
 def test_moment_sequence_construction():
