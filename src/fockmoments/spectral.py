@@ -7,10 +7,17 @@ locations, squared-component weights) that reproduces the exact state
 moments up to order 2 (K - 1 - N) and converges weakly to the arcsine
 law under canonical scaling.
 
-The eigensolver is the classical implicit-shift QL iteration for
-symmetric tridiagonal matrices.  Only one row of the eigenvector matrix
-is ever needed, so plane rotations are accumulated into a single row
-vector and memory stays O(K).
+The position matrix has a zero diagonal: X moves a level by one, so
+with the levels sorted by parity it is [[0, B^T], [B, 0]] with B
+bidiagonal and half the size.  Its eigenvalues are the pairs +-sigma of
+the singular values of B, which makes every reconstructed measure
+exactly symmetric, and the weights are squared singular-vector entries
+(Golub & Kahan 1965; Golub & Welsch 1969).  The eigensolver therefore
+runs implicit-shift Golub-Kahan QR on B for a zero diagonal, and the
+classical implicit-shift QL iteration on the full matrix otherwise.
+Only one row of the eigenvector matrix is ever needed, so plane
+rotations are accumulated into a single row vector and memory stays
+O(K).
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from .fock import (
 )
 from .laws import arcsine_cdf
 
-# Largest truncation the dense-free QL path will accept; O(K^2) rotations
-# in pure Python get slow beyond this.
+# Largest truncation K the eigensolver will accept; O(K^2) rotations in
+# pure Python get slow beyond this.  The cap applies to K even where the
+# bidiagonal path works at ceil(K/2).
 EIGEN_DIM_CAP = 4096
 
 # hermite_density_grid recursion depth guard
@@ -37,13 +45,18 @@ DENSITY_LEVEL_CAP = 200
 
 _WEIGHT_SUM_TOL = 1e-12
 
+# Most implicit sweeps either eigensolver spends on one eigenvalue or
+# singular value before giving up
+_MAX_SWEEPS = 50
+
 
 class TruncationTooSmall(ValueError):
     """The truncation dimension is too small for the requested state."""
 
 
 class EigensolverFailure(RuntimeError):
-    """The QL iteration did not converge or lost orthonormality."""
+    """An eigensolver iteration did not converge, or the tracked eigenvector
+    row lost orthonormality."""
 
 
 class Tridiagonal(NamedTuple):
@@ -98,28 +111,18 @@ class TridiagonalSpectrum:
     squared_components: tuple[float, ...]
 
 
-def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
-    """Implicit-shift QL diagonalization with single-row accumulation.
+def _ql(
+    diag: Sequence[float], offdiag: Sequence[float], row: int
+) -> tuple[list[float], list[float]]:
+    """Implicit-shift QL on a symmetric tridiagonal matrix.
 
-    Returns eigenvalues in ascending order and the squared entries of the
-    requested row of the eigenvector matrix.  Deflation uses the
-    machine-epsilon test |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1|, and
-    each eigenvalue gets at most 50 implicit QL sweeps.
+    Plane rotations are accumulated into the tracked row of the
+    eigenvector matrix only.  Returns the eigenvalues and that row's
+    squared entries, unsorted.
     """
-    dim = len(matrix.diag)
-    if dim < 1:
-        raise ValueError("matrix must have dimension >= 1")
-    if len(matrix.offdiag) != dim - 1:
-        raise ValueError(
-            f"off-diagonal length {len(matrix.offdiag)} does not match "
-            f"dimension {dim}"
-        )
-    _check_dim_cap(dim)
-    if not 0 <= row < dim:
-        raise ValueError(f"row {row} outside 0..{dim - 1}")
-
-    d = [float(x) for x in matrix.diag]
-    e = [float(x) for x in matrix.offdiag] + [0.0]
+    dim = len(diag)
+    d = [float(x) for x in diag]
+    e = [float(x) for x in offdiag] + [0.0]
     zr = [0.0] * dim
     zr[row] = 1.0
 
@@ -135,10 +138,10 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
             if m == l:
                 break
             sweeps += 1
-            if sweeps > 50:
+            if sweeps > _MAX_SWEEPS:
                 raise EigensolverFailure(
                     f"QL iteration did not converge for eigenvalue {l} "
-                    f"within 50 sweeps"
+                    f"within {_MAX_SWEEPS} sweeps"
                 )
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
@@ -172,8 +175,244 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
             d[l] -= p
             e[l] = g
             e[m] = 0.0
+    return d, [z * z for z in zr]
 
-    pairs = sorted(zip(d, (z * z for z in zr)))
+
+def _free_zero(
+    d: list[float],
+    e: list[float],
+    lo: int,
+    hi: int,
+    zr: list[float],
+    right: bool,
+) -> None:
+    """Rotate the first zero diagonal entry of the bidiagonal block lo..hi
+    free (Golub & Van Loan, Sec. 8.6.2).
+
+    A zero above the last place frees its row by rotations from the
+    left; a zero only in the last place frees its column by rotations
+    from the right.  Either way an off-diagonal entry of the block
+    becomes exactly 0, so the block splits, and the zero stays where it
+    was.
+    """
+    i = d.index(0.0, lo, hi + 1)
+    if i < hi:
+        f = e[i]
+        e[i] = 0.0
+        for j in range(i + 1, hi + 1):
+            if f == 0.0:
+                break
+            r = math.hypot(d[j], f)
+            c = d[j] / r
+            s = f / r
+            d[j] = r
+            if not right:
+                zr[j], zr[i] = c * zr[j] + s * zr[i], c * zr[i] - s * zr[j]
+            if j < hi:
+                f = -s * e[j]
+                e[j] *= c
+        return
+    f = e[hi - 1]
+    e[hi - 1] = 0.0
+    for j in range(hi - 1, lo - 1, -1):
+        if f == 0.0:
+            break
+        r = math.hypot(d[j], f)
+        c = d[j] / r
+        s = f / r
+        d[j] = r
+        if right:
+            zr[j], zr[hi] = c * zr[j] + s * zr[hi], c * zr[hi] - s * zr[j]
+        if j > lo:
+            f = -s * e[j - 1]
+            e[j - 1] *= c
+
+
+def _golub_kahan(
+    offdiag: Sequence[float], row: int
+) -> tuple[list[float], list[float]]:
+    """Eigenvalues and one squared eigenvector row of a zero-diagonal
+    tridiagonal matrix, from the SVD of its bidiagonal parity block.
+
+    Take the levels from the far end, so that the largest weights of a
+    growing sequence come first and the bulge chase starts there, as the
+    QL's does; for an odd dimension put first a virtual level coupled to
+    nothing.  Split by parity, the matrix is then [[0, B^T], [B, 0]] with
+    B upper bidiagonal: diagonal c_1, c_3, ... and superdiagonal
+    c_2, c_4, ..., where c_1, c_2, ... are the off-diagonal entries read
+    from the far end, after the virtual 0.  A singular value sigma of B
+    with vectors u, v gives the eigenvalues +-sigma with eigenvectors
+    (v, +-u) / sqrt(2), so the tracked level, a column of B (an entry of
+    v) or a row (an entry of u), has weight v_i^2 / 2 or u_i^2 / 2 at
+    both (Golub & Kahan 1965).  The virtual level's zero column is a
+    structural zero singular value; its left vector is the null vector
+    of the odd-dimension matrix, so it gives the eigenvalue 0 once, with
+    the full weight u_i^2 (0 for a level of the other parity).
+    Implicit-shift Golub-Kahan QR (Golub & Van Loan, Sec. 8.6) deflates
+    from the small end, tracking only the row of U or V that holds the
+    level.  Returns the eigenvalues and squared entries, unsorted.
+    """
+    dim = len(offdiag) + 1
+    c = [float(x) for x in reversed(offdiag)]
+    if dim % 2:
+        c.insert(0, 0.0)
+    d = c[0::2]
+    e = c[1::2]
+    n = len(d)
+    # position of the tracked level from the far end: even positions are
+    # the columns of B, odd ones its rows
+    pos = len(c) - row
+    right = pos % 2 == 0
+    zr = [0.0] * n
+    zr[pos // 2] = 1.0
+    hypot = math.hypot
+
+    m = n - 1
+    sweeps = 0
+    while m > 0:
+        dd = abs(d[m - 1]) + abs(d[m])
+        if abs(e[m - 1]) + dd == dd:
+            m -= 1
+            sweeps = 0
+            continue
+        l = m - 1
+        while l > 0:
+            dd = abs(d[l - 1]) + abs(d[l])
+            if abs(e[l - 1]) + dd == dd:
+                break
+            l -= 1
+        # freeing a zero counts as a sweep too, so that no input, NaN
+        # included, keeps the loop going past the limit
+        sweeps += 1
+        if sweeps > _MAX_SWEEPS:
+            raise EigensolverFailure(
+                f"Golub-Kahan iteration did not converge for singular value "
+                f"{m} within {_MAX_SWEEPS} sweeps"
+            )
+        if sweeps > 3:
+            # slow to deflate: a diagonal entry negligible beside its
+            # neighbours stalls the shifted step, so set such entries to 0
+            for i in range(l, m + 1):
+                nb = abs(e[i - 1]) if i > l else 0.0
+                if i < m:
+                    nb += abs(e[i])
+                if abs(d[i]) + nb == nb:
+                    d[i] = 0.0
+        if 0.0 in d[l:m + 1]:
+            _free_zero(d, e, l, m, zr, right)
+            continue
+        # Wilkinson shift sigma^2: the eigenvalue of the trailing 2x2 block
+        # of B^T B nearer its last diagonal entry, taken in units of the
+        # block's largest entry so that no square overflows
+        a = d[m - 1]
+        b = e[m - 1]
+        f = e[m - 2] if m - 1 > l else 0.0
+        g = d[m]
+        unit = max(abs(a), abs(b), abs(f), abs(g))
+        a /= unit
+        b /= unit
+        f /= unit
+        g /= unit
+        t12 = a * b
+        t22 = g * g + b * b
+        delta = 0.5 * (a * a + f * f - t22)
+        den = delta + math.copysign(hypot(delta, t12), delta)
+        mu = t22 - t12 * t12 / den if den else t22
+        sigma = unit * math.sqrt(max(mu, 0.0))
+        # the first rotation turns (d_l^2 - sigma^2, d_l e_l), taken here
+        # divided by max(|d_l|, sigma)
+        dk = d[l]
+        ek = e[l]
+        unit = max(abs(dk), sigma)
+        y = (abs(dk) - sigma) * ((abs(dk) + sigma) / unit)
+        h = dk * (ek / unit)
+        for k in range(l, m):
+            # dk, ek hold the current d[k], e[k]
+            # from the right on columns k, k + 1: zero h against y
+            r = hypot(y, h)
+            if r:
+                cs = y / r
+                sn = h / r
+            else:
+                cs = 1.0
+                sn = 0.0
+            if k > l:
+                e[k - 1] = r
+            dk1 = d[k + 1]
+            f = cs * dk + sn * ek
+            ek = cs * ek - sn * dk
+            h = sn * dk1
+            dk1 *= cs
+            if right:
+                a = zr[k]
+                b = zr[k + 1]
+                zr[k] = cs * a + sn * b
+                zr[k + 1] = cs * b - sn * a
+            # from the left on rows k, k + 1: zero the bulge h against f
+            r = hypot(f, h)
+            if r:
+                cs = f / r
+                sn = h / r
+            else:
+                cs = 1.0
+                sn = 0.0
+            d[k] = r
+            y = cs * ek + sn * dk1
+            dk = cs * dk1 - sn * ek
+            if k + 1 < m:
+                ek = e[k + 1]
+                h = sn * ek
+                ek *= cs
+            if not right:
+                a = zr[k]
+                b = zr[k + 1]
+                zr[k] = cs * a + sn * b
+                zr[k + 1] = cs * b - sn * a
+        d[m] = dk
+        e[m - 1] = y
+
+    values: list[float] = []
+    squared: list[float] = []
+    odd = dim % 2  # d[0] is then the structural zero
+    for sigma, z in zip(d[odd:], zr[odd:]):
+        sigma = abs(sigma)
+        values += (-sigma, sigma)
+        squared += (0.5 * z * z,) * 2
+    if odd:
+        values.append(0.0)
+        squared.append(zr[0] * zr[0])
+    return values, squared
+
+
+def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
+    """Eigenvalues of a symmetric tridiagonal matrix with one squared
+    eigenvector row.
+
+    Returns eigenvalues in ascending order and the squared entries of the
+    requested row of the eigenvector matrix.  A zero diagonal, as every
+    position matrix has, goes to the half-size bidiagonal SVD of
+    ``_golub_kahan``; any other diagonal to the implicit-shift QL of
+    ``_ql``.  Both deflate on the machine-epsilon test
+    |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1| and give each eigenvalue
+    or singular value at most ``_MAX_SWEEPS`` (50) implicit sweeps.
+    """
+    dim = len(matrix.diag)
+    if dim < 1:
+        raise ValueError("matrix must have dimension >= 1")
+    if len(matrix.offdiag) != dim - 1:
+        raise ValueError(
+            f"off-diagonal length {len(matrix.offdiag)} does not match "
+            f"dimension {dim}"
+        )
+    _check_dim_cap(dim)
+    if not 0 <= row < dim:
+        raise ValueError(f"row {row} outside 0..{dim - 1}")
+
+    if any(matrix.diag):
+        values, squared = _ql(matrix.diag, matrix.offdiag, row)
+    else:
+        values, squared = _golub_kahan(matrix.offdiag, row)
+    pairs = sorted(zip(values, squared))
     eigenvalues = tuple(val for val, _ in pairs)
     squared = tuple(w for _, w in pairs)
     total = math.fsum(squared)

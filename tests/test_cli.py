@@ -331,6 +331,18 @@ def test_eigensolver_failure_exit_3(capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_eigensolver_sweep_limit_exit_3(capsys, monkeypatch):
+    import fockmoments.spectral
+
+    # no sweep allowed: the bidiagonal iteration gives up on its first
+    monkeypatch.setattr(fockmoments.spectral, "_MAX_SWEEPS", 0)
+    code, out, err = run_cli(capsys, ["reconstruct", "--N", "2", "--K", "10"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "within 0 sweeps" in err
+    assert "Traceback" not in err
+
+
 def test_help_and_version_exit_0(capsys):
     assert run_cli(capsys, ["--help"])[0] == 0
     code, out, _ = run_cli(capsys, ["--version"])

@@ -271,6 +271,35 @@ def test_walk_moments_are_moments_property(case, scale):
     assert validate_moments(moments_by_walk(seq, n, range(top + 1), scale=scale))
 
 
+@st.composite
+def _short_cases(draw):
+    """A level N, an order, a scale and an explicit list that may stop
+    short of the N + order/2 weights the order needs."""
+    n = draw(st.integers(0, 6))
+    order = draw(st.integers(-1, 12))
+    size = draw(st.integers(0, n + max(order, 0) // 2 + 1))
+    weight = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
+    omegas = draw(st.lists(weight, min_size=size, max_size=size))
+    scale = draw(st.builds(Fraction, st.integers(-1, 30), st.integers(1, 7)))
+    return JacobiSequence.explicit(omegas), n, order, scale
+
+
+def _outcome(engine, *args):
+    try:
+        return engine(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_short_cases())
+def test_engines_agree_or_fail_alike_property(case):
+    seq, n, order, scale = case
+    by_words = _outcome(moment_by_words, seq, n, order, scale)
+    by_walk = _outcome(lambda *a: moments_by_walk(*a)[0], seq, n, [order], scale)
+    assert by_words == by_walk
+
+
 def test_moment_input_validation():
     with pytest.raises(ValueError):
         moment_by_words(STANDARD, 2, -1)

@@ -8,10 +8,11 @@ import scipy.special
 
 from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD
 from fockmoments.laws import arcsine_cdf
-from fockmoments.moments import moment_by_tridiagonal
+from fockmoments.moments import moment_by_tridiagonal, moments_by_walk
 from fockmoments.spectral import (
     DiscreteMeasure,
     EIGEN_DIM_CAP,
+    EigensolverFailure,
     Tridiagonal,
     TruncationTooSmall,
     density_cdf,
@@ -63,17 +64,101 @@ def test_eigendecompose_three_levels_hand_values():
     )
 
 
+# a growing explicit list with an uneven step, long enough for K = 449
+EXPLICIT = JacobiSequence.explicit(
+    [Fraction(k * (k % 4 + 1), 3) for k in range(1, 450)]
+)
+
+
+def _scipy_check(tri, row, atol):
+    evals, evecs = scipy.linalg.eigh_tridiagonal(
+        np.array(tri.diag), np.array(tri.offdiag)
+    )
+    spec = eigendecompose(tri, row=row)
+    assert np.allclose(spec.eigenvalues, evals, rtol=0.0, atol=atol)
+    assert np.allclose(
+        spec.squared_components, evecs[row, :] ** 2, rtol=0.0, atol=atol
+    )
+
+
 def test_eigendecompose_matches_scipy():
     for seq, dim, row in ((STANDARD, 10, 0), (STANDARD, 50, 3), (Q_HALF, 40, 5), (STANDARD, 200, 7)):
+        _scipy_check(truncated_position_matrix(seq, dim), row, 1e-10)
+    # zero diagonals of odd and even dimension, tracked from odd and even rows
+    for seq in (STANDARD, Q_HALF, EXPLICIT):
+        for dim in (2, 3, 17, 64, 129):
+            for row in {0, 1, dim // 2, dim - 2, dim - 1}:
+                _scipy_check(truncated_position_matrix(seq, dim), row, 1e-10)
+    # a nonzero diagonal takes the QL path
+    diag = tuple(math.sin(k) for k in range(30))
+    offdiag = tuple(1.0 + 0.5 * math.cos(k) for k in range(29))
+    for row in (0, 13, 29):
+        _scipy_check(Tridiagonal(diag=diag, offdiag=offdiag), row, 1e-10)
+    # weights spanning 10^-30 to 10^30, and lists that stress the sweep:
+    # squares past the float range, neighbours 10^477 apart (rotations of
+    # two zeros) and diagonal entries negligible but not zero; eigenvalues
+    # to 1e-14 of the largest, whichever row is tracked
+    exponents = [
+        [(7 * k) % 61 - 30 for k in range(1, 80)],
+        [308] * 5 + [0] * 3,
+        [-27, 141, -164, 264, -213, -126, 58],
+        [-198, 26, -236, -198, -194],
+    ]
+    for powers in exponents:
+        dim = len(powers) + 1
+        seq = JacobiSequence.explicit([Fraction(10) ** p for p in powers])
         tri = truncated_position_matrix(seq, dim)
-        spec = eigendecompose(tri, row=row)
-        evals, evecs = scipy.linalg.eigh_tridiagonal(
-            np.array(tri.diag), np.array(tri.offdiag)
+        evals = scipy.linalg.eigh_tridiagonal(
+            np.array(tri.diag), np.array(tri.offdiag), eigvals_only=True
         )
-        assert np.allclose(spec.eigenvalues, evals, atol=1e-10)
-        assert np.allclose(
-            spec.squared_components, evecs[row, :] ** 2, atol=1e-10
-        )
+        for row in range(dim):
+            spec = eigendecompose(tri, row=row)
+            err = np.abs(np.array(spec.eigenvalues) - evals).max()
+            assert err <= 1e-14 * np.abs(evals).max()
+
+
+def test_eigendecompose_exact_zero_couplings():
+    # a weight that is 0.0 as a float splits the matrix; zeros on the
+    # bidiagonal's diagonal are rotated out from the left or the right
+    for dim in (4, 5, 8, 9):
+        for gap in range(dim - 1):
+            offdiag = [1.0 + 0.25 * k for k in range(dim - 1)]
+            offdiag[gap] = 0.0
+            evals, evecs = scipy.linalg.eigh_tridiagonal(
+                np.zeros(dim), np.array(offdiag)
+            )
+            for row in range(dim):
+                spec = eigendecompose(
+                    Tridiagonal(diag=(0.0,) * dim, offdiag=tuple(offdiag)), row
+                )
+                assert np.allclose(spec.eigenvalues, evals, rtol=0.0, atol=1e-12)
+                # eigenvalues repeat, so compare the measures by moments
+                for order in range(8):
+                    ours = math.fsum(
+                        w * x**order
+                        for x, w in zip(spec.eigenvalues, spec.squared_components)
+                    )
+                    assert ours == pytest.approx(
+                        float(np.sum(evecs[row] ** 2 * evals**order)),
+                        abs=1e-13 * (1.0 + evals[-1]) ** order,
+                    )
+
+
+def test_eigendecompose_sweep_limit(monkeypatch):
+    # both solvers stop with EigensolverFailure once past the shared limit
+    import fockmoments.spectral
+
+    monkeypatch.setattr(fockmoments.spectral, "_MAX_SWEEPS", 0)
+    zero = truncated_position_matrix(STANDARD, 9)
+    shifted = Tridiagonal(diag=(1.0,) * 9, offdiag=zero.offdiag)
+    for tri in (zero, shifted):
+        with pytest.raises(EigensolverFailure, match="within 0 sweeps"):
+            eigendecompose(tri, row=2)
+    # a NaN never deflates; the limit still ends the iteration
+    monkeypatch.undo()
+    for diag in ((0.0,) * 3, (1.0, 0.0, 0.0)):
+        with pytest.raises(EigensolverFailure, match="within 50 sweeps"):
+            eigendecompose(Tridiagonal(diag=diag, offdiag=(math.nan, 1.0)), row=0)
 
 
 def test_eigendecompose_spectra_symmetric_and_normalized():
@@ -183,6 +268,23 @@ def test_reconstruct_q_sequence():
     for order in (2, 4, 6):
         exact = float(moment_by_tridiagonal(seq, 2, order))
         assert measure.moment(order) == pytest.approx(exact, rel=1e-10)
+
+
+def test_reconstructed_moments_match_exact_at_high_orders():
+    # the far atoms of a low state carry tiny weights that dominate its
+    # high moments, so this pins their relative accuracy; the atoms come
+    # in exact +-x pairs, so every odd moment is exactly 0
+    for seq in (STANDARD, Q_HALF, EXPLICIT):
+        for n in (0, 1, 56, 57):
+            for dim in (448, 449):
+                measure = reconstruct_state_measure(seq, n, dim)
+                orders = range(0, min(lossless_order(n, dim), 64) + 1, 2)
+                exact = moments_by_walk(seq, n, orders)
+                for order, value in zip(orders, exact):
+                    assert measure.moment(order) == pytest.approx(
+                        float(value), rel=1e-10
+                    )
+                    assert measure.moment(order + 1) == 0.0
 
 
 def test_hermite_state_density_values():
