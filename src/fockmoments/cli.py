@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .fock import (
@@ -30,6 +30,7 @@ from .fock import (
     JacobiSequence,
     as_fraction,
     canonical_scale,
+    to_float,
 )
 from .laws import arcsine_density, classical_moment, classical_moment_quadrature
 from .moments import (
@@ -289,6 +290,28 @@ def _json_dumps(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _emit_table(
+    cfg: RunConfig,
+    meta: dict,
+    columns: Sequence[str],
+    rows: Sequence[tuple],
+    text_row: Callable[[tuple], str] | None = None,
+) -> None:
+    """Write rows as JSON (meta plus one object per row), as CSV under a
+    header of the columns, or as text, one line per row: the cells joined
+    by spaces unless ``text_row`` formats the line."""
+    if cfg.fmt == "json":
+        text = _json_dumps(
+            {**meta, "rows": [dict(zip(columns, row)) for row in rows]}
+        )
+    elif cfg.fmt == "csv":
+        text = "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
+    else:
+        text_row = text_row or (lambda row: " ".join(map(str, row)))
+        text = "".join(text_row(row) + "\n" for row in rows)
+    _emit(cfg, text)
+
+
 def cmd_moments(cfg: RunConfig) -> int:
     seq = JacobiSequence.from_json(cfg.jacobi)
     state = cfg.states[0]
@@ -297,26 +320,9 @@ def cmd_moments(cfg: RunConfig) -> int:
         moments = [moment_by_words(seq, state, k, scale=scale) for k in cfg.orders]
     else:
         moments = moments_by_walk(seq, state, cfg.orders, scale=scale)
-    values = list(zip(cfg.orders, moments))
-    if cfg.fmt == "json":
-        text = _json_dumps(
-            {
-                "jacobi": cfg.jacobi,
-                "N": state,
-                "scale": str(scale),
-                "engine": cfg.engine,
-                "rows": [
-                    {"order": order, "value": str(v)} for order, v in values
-                ],
-            }
-        )
-    elif cfg.fmt == "csv":
-        lines = ["order,value"]
-        lines.extend(f"{order},{v}" for order, v in values)
-        text = "\n".join(lines) + "\n"
-    else:
-        text = "".join(f"{order} {v}\n" for order, v in values)
-    _emit(cfg, text)
+    meta = {"jacobi": cfg.jacobi, "N": state, "scale": str(scale), "engine": cfg.engine}
+    rows = [(order, str(v)) for order, v in zip(cfg.orders, moments)]
+    _emit_table(cfg, meta, ("order", "value"), rows)
     return 0
 
 
@@ -398,8 +404,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             "K": cfg.dim,
             "scale": str(scale),
             "ks_to_arcsine": ks,
-            "locations": list(measure.locations),
-            "weights": list(measure.weights),
+            **measure.to_json(),
         }
         if density_pts is not None:
             payload["density_grid"] = [[x, f] for x, f in density_pts]
@@ -470,41 +475,16 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 def cmd_classical(cfg: RunConfig) -> int:
     assert cfg.amplitude_squared is not None
     a2 = as_fraction(cfg.amplitude_squared)
-    amplitude = math.sqrt(float(a2))
+    amplitude = math.sqrt(to_float(a2, "--A2"))
     rows = []
     for order in cfg.orders:
         exact = classical_moment(a2, order)
         quad = classical_moment_quadrature(amplitude, order, panels=cfg.panels)
-        rows.append((order, exact, quad, abs(float(exact) - quad)))
-    if cfg.fmt == "json":
-        text = _json_dumps(
-            {
-                "A2": cfg.amplitude_squared,
-                "panels": cfg.panels,
-                "rows": [
-                    {
-                        "order": order,
-                        "exact": str(exact),
-                        "quadrature": quad,
-                        "abs_diff": diff,
-                    }
-                    for order, exact, quad, diff in rows
-                ],
-            }
-        )
-    elif cfg.fmt == "csv":
-        lines = ["order,exact,quadrature,abs_diff"]
-        lines.extend(
-            f"{order},{exact},{quad!r},{diff!r}"
-            for order, exact, quad, diff in rows
-        )
-        text = "\n".join(lines) + "\n"
-    else:
-        text = "".join(
-            f"{order} {exact} {quad!r} {diff:.3e}\n"
-            for order, exact, quad, diff in rows
-        )
-    _emit(cfg, text)
+        diff = abs(to_float(exact, f"order {order} moment") - quad)
+        rows.append((order, str(exact), quad, diff))
+    meta = {"A2": cfg.amplitude_squared, "panels": cfg.panels}
+    columns = ("order", "exact", "quadrature", "abs_diff")
+    _emit_table(cfg, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
     return 0
 
 

@@ -51,6 +51,14 @@ def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     raise ValueError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def to_float(value: Fraction, name: str) -> float:
+    """``value`` as a float; ValueError naming it when it is too large."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
     """The q-integer [n]_q = 1 + q + ... + q^(n-1), exactly.
 

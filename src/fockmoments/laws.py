@@ -96,8 +96,15 @@ def classical_moment_quadrature(
     if panels < 16:
         raise ValueError(f"need at least 16 panels, got {panels}")
     total = 0.0
-    for j in range(panels):
-        total += (amplitude * math.sin(2.0 * math.pi * j / panels)) ** order
+    try:
+        for j in range(panels):
+            total += (amplitude * math.sin(2.0 * math.pi * j / panels)) ** order
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(
+            f"order {order} quadrature at amplitude {amplitude!r} overflows a float"
+        )
     return total / panels
 
 

@@ -15,8 +15,6 @@ around the arcsine moments.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -367,28 +365,17 @@ def convergence_table(
     return rows
 
 
-def _cell(value: Fraction | None) -> str:
-    return "" if value is None else str(value)
-
-
 def convergence_csv(rows: Sequence[ConvergenceRow]) -> str:
-    """Render a convergence table as CSV with exact rational cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CONVERGENCE_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                str(row.state),
-                str(row.order),
-                str(row.scaled_moment),
-                str(row.target),
-                str(row.abs_diff),
-                _cell(row.env_lo),
-                _cell(row.env_hi),
-            ]
-        )
-    return buf.getvalue()
+    """Render a convergence table as CSV with exact rational cells.
+
+    Integers, rationals and blanks never need quoting.
+    """
+    lines = [",".join(CONVERGENCE_COLUMNS)]
+    for r in rows:
+        cells = (r.state, r.order, r.scaled_moment, r.target, r.abs_diff)
+        bounds = ("" if b is None else str(b) for b in (r.env_lo, r.env_hi))
+        lines.append(",".join([*map(str, cells), *bounds]))
+    return "".join(line + "\n" for line in lines)
 
 
 def convergence_json(rows: Sequence[ConvergenceRow]) -> list[dict]:

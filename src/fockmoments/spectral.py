@@ -13,11 +13,10 @@ bidiagonal and half the size.  Its eigenvalues are the pairs +-sigma of
 the singular values of B, which makes every reconstructed measure
 exactly symmetric, and the weights are squared singular-vector entries
 (Golub & Kahan 1965; Golub & Welsch 1969).  The eigensolver therefore
-runs implicit-shift Golub-Kahan QR on B for a zero diagonal, and the
-classical implicit-shift QL iteration on the full matrix otherwise.
-Only one row of the eigenvector matrix is ever needed, so plane
-rotations are accumulated into a single row vector and memory stays
-O(K).
+runs implicit-shift Golub-Kahan QR on B and takes zero-diagonal
+matrices only.  Only one row of the eigenvector matrix is ever needed,
+so plane rotations are accumulated into a single row vector and memory
+stays O(K).
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .fock import (
     JacobiSequence,
     as_fraction,
     state_index,
+    to_float,
 )
 from .laws import arcsine_cdf
 
@@ -45,8 +45,8 @@ DENSITY_LEVEL_CAP = 200
 
 _WEIGHT_SUM_TOL = 1e-12
 
-# Most implicit sweeps either eigensolver spends on one eigenvalue or
-# singular value before giving up
+# Most implicit sweeps the eigensolver spends on one singular value
+# before giving up; a NaN or a stalled shift never deflates
 _MAX_SWEEPS = 50
 
 
@@ -88,12 +88,16 @@ def truncated_position_matrix(seq: JacobiSequence, dim: int) -> Tridiagonal:
 
     The diagonal is zero and the off-diagonal entries are
     sqrt(omega_n / 2), n = 1 .. dim - 1.  The eigensolver cap is checked
-    before any weight is read.
+    before any weight is read; a weight too large for a float raises
+    ValueError.
     """
     if dim < 1:
         raise ValueError(f"truncation dimension must be >= 1, got {dim}")
     _check_dim_cap(dim)
-    off = tuple(math.sqrt(float(seq.omega(n)) / 2.0) for n in range(1, dim))
+    off = tuple(
+        math.sqrt(to_float(seq.omega(n), f"weight omega_{n}") / 2.0)
+        for n in range(1, dim)
+    )
     return Tridiagonal(diag=(0.0,) * dim, offdiag=off)
 
 
@@ -109,73 +113,6 @@ class TridiagonalSpectrum:
     row: int
     eigenvalues: tuple[float, ...]
     squared_components: tuple[float, ...]
-
-
-def _ql(
-    diag: Sequence[float], offdiag: Sequence[float], row: int
-) -> tuple[list[float], list[float]]:
-    """Implicit-shift QL on a symmetric tridiagonal matrix.
-
-    Plane rotations are accumulated into the tracked row of the
-    eigenvector matrix only.  Returns the eigenvalues and that row's
-    squared entries, unsorted.
-    """
-    dim = len(diag)
-    d = [float(x) for x in diag]
-    e = [float(x) for x in offdiag] + [0.0]
-    zr = [0.0] * dim
-    zr[row] = 1.0
-
-    for l in range(dim):
-        sweeps = 0
-        while True:
-            for m in range(l, dim - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) + dd == dd:
-                    break
-            else:
-                m = dim - 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _MAX_SWEEPS:
-                raise EigensolverFailure(
-                    f"QL iteration did not converge for eigenvalue {l} "
-                    f"within {_MAX_SWEEPS} sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            early = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated prematurely; restart the sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    early = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = zr[i + 1]
-                zr[i + 1] = s * zr[i] + c * f
-                zr[i] = c * zr[i] - s * f
-            if early:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, [z * z for z in zr]
 
 
 def _free_zero(
@@ -235,10 +172,11 @@ def _golub_kahan(
     tridiagonal matrix, from the SVD of its bidiagonal parity block.
 
     Take the levels from the far end, so that the largest weights of a
-    growing sequence come first and the bulge chase starts there, as the
-    QL's does; for an odd dimension put first a virtual level coupled to
-    nothing.  Split by parity, the matrix is then [[0, B^T], [B, 0]] with
-    B upper bidiagonal: diagonal c_1, c_3, ... and superdiagonal
+    growing sequence come first and the bulge chase starts there, the
+    order that keeps implicit shifts accurate on a graded matrix; for an
+    odd dimension put first a virtual level coupled to nothing.  Split by
+    parity, the matrix is then [[0, B^T], [B, 0]] with B upper
+    bidiagonal: diagonal c_1, c_3, ... and superdiagonal
     c_2, c_4, ..., where c_1, c_2, ... are the off-diagonal entries read
     from the far end, after the virtual 0.  A singular value sigma of B
     with vectors u, v gives the eigenvalues +-sigma with eigenvectors
@@ -389,12 +327,12 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
     eigenvector row.
 
     Returns eigenvalues in ascending order and the squared entries of the
-    requested row of the eigenvector matrix.  A zero diagonal, as every
-    position matrix has, goes to the half-size bidiagonal SVD of
-    ``_golub_kahan``; any other diagonal to the implicit-shift QL of
-    ``_ql``.  Both deflate on the machine-epsilon test
-    |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1| and give each eigenvalue
-    or singular value at most ``_MAX_SWEEPS`` (50) implicit sweeps.
+    requested row of the eigenvector matrix.  The diagonal must be zero,
+    as every position matrix's is; any other diagonal raises ValueError.
+    The half-size bidiagonal SVD of ``_golub_kahan`` deflates on the
+    machine-epsilon test |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1| and
+    gives each singular value at most ``_MAX_SWEEPS`` (50) implicit
+    sweeps.
     """
     dim = len(matrix.diag)
     if dim < 1:
@@ -404,14 +342,13 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
             f"off-diagonal length {len(matrix.offdiag)} does not match "
             f"dimension {dim}"
         )
+    if any(matrix.diag):
+        raise ValueError("eigendecompose takes a zero diagonal only")
     _check_dim_cap(dim)
     if not 0 <= row < dim:
         raise ValueError(f"row {row} outside 0..{dim - 1}")
 
-    if any(matrix.diag):
-        values, squared = _ql(matrix.diag, matrix.offdiag, row)
-    else:
-        values, squared = _golub_kahan(matrix.offdiag, row)
+    values, squared = _golub_kahan(matrix.offdiag, row)
     pairs = sorted(zip(values, squared))
     eigenvalues = tuple(val for val, _ in pairs)
     squared = tuple(w for _, w in pairs)
@@ -510,8 +447,11 @@ def reconstruct_state_measure(
         raise TruncationTooSmall(
             f"truncation dimension {dim} is below state + 2 = {n + 2}"
         )
-    spectrum = eigendecompose(truncated_position_matrix(seq, dim), row=n)
-    root = math.sqrt(float(s))
+    matrix = truncated_position_matrix(seq, dim)
+    root = math.sqrt(to_float(s, "scale"))
+    if root == 0.0:
+        raise ValueError("scale is too small for a float")
+    spectrum = eigendecompose(matrix, row=n)
     atoms: list[tuple[float, float]] = []
     for lam, w in zip(spectrum.eigenvalues, spectrum.squared_components):
         x = lam / root

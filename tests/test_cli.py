@@ -17,6 +17,21 @@ from fockmoments.fock import JacobiSequence
 from fockmoments.selfcheck import FAULT_ENV
 
 
+BIG = "1" + "0" * 400
+
+# rationals past the float range, each with the name its error line gives
+FLOAT_RANGE_CASES = [
+    (["reconstruct", "--jacobi", f"explicit:{BIG},1,1", "--N", "0", "--K", "3"],
+     "weight omega_1"),
+    (["reconstruct", "--N", "2", "--K", "10", "--scale", BIG], "scale"),
+    (["reconstruct", "--N", "2", "--K", "10", "--scale", "1/" + BIG], "scale"),
+    (["reconstruct", "--N", "2", "--K", "10", "--scale", "1/" + BIG, "--density"],
+     "scale"),
+    (["classical", "--A2", BIG, "--orders", "2"], "--A2"),
+    (["classical", "--A2", "1e300", "--orders", "4"], "order 4"),
+]
+
+
 def run_cli(capsys, args):
     code = main(args)
     captured = capsys.readouterr()
@@ -238,6 +253,86 @@ def test_classical_json(capsys):
     assert abs(payload["rows"][0]["quadrature"] - 1.5) < 1e-12
 
 
+# bytes printed before the three commands shared one table writer
+MOMENTS_ARGV = ["moments", "--jacobi", "q=1/2", "--N", "3", "--orders", "0,1,2,4",
+                "--scale", "canonical"]
+MOMENTS_CSV = "order,value\n0,1\n1,0\n2,29/28\n4,2483/1568\n"
+MOMENTS_JSON = """{
+  "jacobi": {
+    "kind": "q",
+    "q": "1/2"
+  },
+  "N": 3,
+  "scale": "7/4",
+  "engine": "tridiagonal",
+  "rows": [
+    {
+      "order": 0,
+      "value": "1"
+    },
+    {
+      "order": 1,
+      "value": "0"
+    },
+    {
+      "order": 2,
+      "value": "29/28"
+    },
+    {
+      "order": 4,
+      "value": "2483/1568"
+    }
+  ]
+}
+"""
+CLASSICAL_ARGV = ["classical", "--A2", "3/2", "--orders", "0,2,4"]
+CLASSICAL_CSV = """order,exact,quadrature,abs_diff
+0,1,1.0,0.0
+2,3/4,0.75,0.0
+4,27/32,0.8437500000000001,1.1102230246251565e-16
+"""
+CLASSICAL_JSON = """{
+  "A2": "3/2",
+  "panels": 256,
+  "rows": [
+    {
+      "order": 0,
+      "exact": "1",
+      "quadrature": 1.0,
+      "abs_diff": 0.0
+    },
+    {
+      "order": 2,
+      "exact": "3/4",
+      "quadrature": 0.75,
+      "abs_diff": 0.0
+    },
+    {
+      "order": 4,
+      "exact": "27/32",
+      "quadrature": 0.8437500000000001,
+      "abs_diff": 1.1102230246251565e-16
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, expected",
+    [
+        (MOMENTS_ARGV, "csv", MOMENTS_CSV),
+        (MOMENTS_ARGV, "json", MOMENTS_JSON),
+        (CLASSICAL_ARGV, "csv", CLASSICAL_CSV),
+        (CLASSICAL_ARGV, "json", CLASSICAL_JSON),
+    ],
+    ids=["moments-csv", "moments-json", "classical-csv", "classical-json"],
+)
+def test_table_formats_byte_exact(capsys, argv, fmt, expected):
+    code, out, err = run_cli(capsys, argv + ["--format", fmt])
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_selfcheck_fast_passes(capsys, monkeypatch):
     monkeypatch.delenv(FAULT_ENV, raising=False)
     code, out, _ = run_cli(capsys, ["selfcheck", "--fast"])
@@ -273,11 +368,20 @@ def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
         ["classical", "--A2", "2", "--orders", "2", "--panels", "4"],
         ["nonsense"],
         [],
+        *(args for args, _ in FLOAT_RANGE_CASES),
     ],
 )
 def test_invalid_configurations_exit_2(capsys, args):
     code, _, _ = run_cli(capsys, args)
     assert code == 2
+
+
+@pytest.mark.parametrize("args, name", FLOAT_RANGE_CASES)
+def test_float_range_error_is_one_line(capsys, args, name):
+    code, out, err = run_cli(capsys, args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
 
 
 @pytest.mark.parametrize(
