@@ -16,7 +16,6 @@ Output is a pure function of the arguments; reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -25,33 +24,18 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
+
+# only fock here: each command imports the other modules it runs, so a
+# call loads no more than it needs
 from .fock import (
     CapExceeded,
+    EigensolverFailure,
     JacobiSequence,
+    TruncationTooSmall,
     as_fraction,
     canonical_scale,
     to_float,
 )
-from .laws import arcsine_density, classical_moment, classical_moment_quadrature
-from .moments import (
-    convergence_csv,
-    convergence_json,
-    convergence_table,
-    moment_by_tridiagonal,  # noqa: F401  (perfbench/selftest.py traces it here)
-    moment_by_words,
-    moments_by_walk,
-)
-from .selfcheck import run_selfcheck
-from .spectral import (
-    EigensolverFailure,
-    TruncationTooSmall,
-    _check_density_cap,
-    hermite_density_grid,
-    ks_distance_to_arcsine,
-    lossless_order,
-    reconstruct_state_measure,
-)
-from .svgplot import line_plot
 
 
 class ConfigError(ValueError):
@@ -96,10 +80,12 @@ def parse_jacobi(text: str) -> JacobiSequence:
                 raise ConfigError("--jacobi explicit list is empty")
             return JacobiSequence.explicit(parts)
         if t.startswith("{"):
+            import json
+
             return JacobiSequence.from_json(json.loads(t))
     except ConfigError:
         raise
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"--jacobi: {exc}") from exc
     raise ConfigError(
         "--jacobi must be 'standard', 'q=<rational>', 'explicit:<list>' "
@@ -287,6 +273,8 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _json_dumps(obj: object) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -313,6 +301,8 @@ def _emit_table(
 
 
 def cmd_moments(cfg: RunConfig) -> int:
+    from .moments import moment_by_words, moments_by_walk
+
     seq = JacobiSequence.from_json(cfg.jacobi)
     state = cfg.states[0]
     scale = _resolve_scale(cfg, seq, state)
@@ -327,9 +317,24 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
+    from .moments import convergence_csv, convergence_json, convergence_table
+
     seq = JacobiSequence.from_json(cfg.jacobi)
     scale = "canonical" if cfg.scale == "canonical" else as_fraction(cfg.scale)
     rows = convergence_table(seq, cfg.states, cfg.orders, scale=scale)
+    # plot points before any output, so a difference past the float range
+    # fails with nothing written
+    series = []
+    if cfg.plot:
+        for order in sorted(set(cfg.orders)):
+            name = f"order {order} abs_diff"
+            pts = [
+                (float(r.state), to_float(r.abs_diff, f"{name} at N = {r.state}"))
+                for r in rows
+                if r.order == order and r.abs_diff > 0
+            ]
+            if pts:
+                series.append((f"order {order}", pts))
     if cfg.fmt == "json":
         text = _json_dumps(
             {"jacobi": cfg.jacobi, "scale": cfg.scale, "rows": convergence_json(rows)}
@@ -337,36 +342,30 @@ def cmd_converge(cfg: RunConfig) -> int:
     else:
         text = convergence_csv(rows)
     _emit(cfg, text)
-    if cfg.plot:
-        series = []
-        for order in sorted(set(cfg.orders)):
-            pts = [
-                (float(r.state), float(r.abs_diff))
-                for r in rows
-                if r.order == order and r.abs_diff > 0
-            ]
-            if pts:
-                series.append((f"order {order}", pts))
-        if series:
-            svg = line_plot(
-                series,
-                title="Distance to arcsine moments",
-                xlabel="N",
-                ylabel="|scaled moment - target|",
-                loglog=True,
-            )
-            Path(cfg.plot).write_text(svg, encoding="utf-8")
-        else:
-            print(
-                "note: all differences are exactly zero, no plot written",
-                file=sys.stderr,
-            )
+    if series:
+        from .svgplot import line_plot
+
+        svg = line_plot(
+            series,
+            title="Distance to arcsine moments",
+            xlabel="N",
+            ylabel="|scaled moment - target|",
+            loglog=True,
+        )
+        Path(cfg.plot).write_text(svg, encoding="utf-8")
+    elif cfg.plot:
+        print(
+            "note: all differences are exactly zero, no plot written",
+            file=sys.stderr,
+        )
     return 0
 
 
 def _density_points(
     state: int, scale: Fraction, lo: float, hi: float, count: int = 257
 ) -> list[tuple[float, float]]:
+    from .spectral import hermite_density_grid
+
     # density of the scaled position: sqrt(s) * |phi_N(x sqrt(s))|^2
     root = math.sqrt(float(scale))
     xs = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -375,6 +374,13 @@ def _density_points(
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
+    from .spectral import (
+        _check_density_cap,
+        ks_distance_to_arcsine,
+        lossless_order,
+        reconstruct_state_measure,
+    )
+
     seq = JacobiSequence.from_json(cfg.jacobi)
     state = cfg.states[0]
     scale = _resolve_scale(cfg, seq, state)
@@ -433,6 +439,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         _emit(cfg, "\n".join(lines) + "\n")
 
     if cfg.plot:
+        from .laws import arcsine_density
+        from .svgplot import line_plot
+
         atoms = measure.atoms
         est = []
         for i, (x, w) in enumerate(atoms):
@@ -473,6 +482,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 
 def cmd_classical(cfg: RunConfig) -> int:
+    from .laws import classical_moment, classical_moment_quadrature
+
     assert cfg.amplitude_squared is not None
     a2 = as_fraction(cfg.amplitude_squared)
     amplitude = math.sqrt(to_float(a2, "--A2"))
@@ -489,6 +500,8 @@ def cmd_classical(cfg: RunConfig) -> int:
 
 
 def cmd_selfcheck(cfg: RunConfig) -> int:
+    from .selfcheck import run_selfcheck
+
     results = run_selfcheck(fast=cfg.fast)
     failed = 0
     for result in results:

@@ -28,6 +28,15 @@ class CapExceeded(RuntimeError):
     """A computation exceeded an explicit size cap."""
 
 
+class TruncationTooSmall(ValueError):
+    """The truncation dimension is too small for the requested state."""
+
+
+class EigensolverFailure(RuntimeError):
+    """An eigensolver iteration did not converge, or the tracked eigenvector
+    row lost orthonormality."""
+
+
 def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an exact rational input to a Fraction.
 

@@ -28,7 +28,9 @@ from typing import NamedTuple, Sequence, Union
 
 from .fock import (
     CapExceeded,
+    EigensolverFailure,
     JacobiSequence,
+    TruncationTooSmall,
     as_fraction,
     state_index,
     to_float,
@@ -48,15 +50,6 @@ _WEIGHT_SUM_TOL = 1e-12
 # Most implicit sweeps the eigensolver spends on one singular value
 # before giving up; a NaN or a stalled shift never deflates
 _MAX_SWEEPS = 50
-
-
-class TruncationTooSmall(ValueError):
-    """The truncation dimension is too small for the requested state."""
-
-
-class EigensolverFailure(RuntimeError):
-    """An eigensolver iteration did not converge, or the tracked eigenvector
-    row lost orthonormality."""
 
 
 class Tridiagonal(NamedTuple):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.dom.minidom
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fockmoments
 from fockmoments.cli import (
     ConfigError,
     RunConfig,
@@ -29,6 +31,8 @@ FLOAT_RANGE_CASES = [
      "scale"),
     (["classical", "--A2", BIG, "--orders", "2"], "--A2"),
     (["classical", "--A2", "1e300", "--orders", "4"], "order 4"),
+    (["converge", "--N", "1,2", "--orders", "2", "--scale", "1/" + BIG,
+      "--plot", "x.svg"], "order 2 abs_diff at N = 1"),
 ]
 
 
@@ -371,17 +375,20 @@ def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
         *(args for args, _ in FLOAT_RANGE_CASES),
     ],
 )
-def test_invalid_configurations_exit_2(capsys, args):
+def test_invalid_configurations_exit_2(capsys, monkeypatch, tmp_path, args):
+    monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(capsys, args)
     assert code == 2
 
 
 @pytest.mark.parametrize("args, name", FLOAT_RANGE_CASES)
-def test_float_range_error_is_one_line(capsys, args, name):
+def test_float_range_error_is_one_line(capsys, monkeypatch, tmp_path, args, name):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, args)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
+    assert list(tmp_path.iterdir()) == []  # no --plot file either
 
 
 @pytest.mark.parametrize(
@@ -403,12 +410,14 @@ def test_caps_exit_3(capsys, args):
 
 
 def test_density_cap_checked_before_eigensolve(capsys, monkeypatch):
-    import fockmoments.cli
+    import fockmoments.spectral
 
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("reconstruct_state_measure ran past the density cap")
 
-    monkeypatch.setattr(fockmoments.cli, "reconstruct_state_measure", no_eigensolve)
+    monkeypatch.setattr(
+        fockmoments.spectral, "reconstruct_state_measure", no_eigensolve
+    )
     args = ["reconstruct", "--N", "201", "--K", "300", "--density"]
     code, out, err = run_cli(capsys, args)
     assert code == 3
@@ -542,3 +551,52 @@ def test_module_entry_subprocess_deterministic():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.decode().startswith("N,order,")
+
+
+# runs cli.main on argv, then reports on the last stderr line the exit
+# code, the fockmoments submodules loaded, and whether json was imported
+_REPORT_IMPORTS = """
+import sys
+before = set(sys.modules)
+from fockmoments import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("fockmoments."))
+print(code, ",".join(loaded), "json" in set(sys.modules) - before, file=sys.stderr)
+"""
+
+MOMENTS = {"laws", "moments"}
+SPECTRAL = {"laws", "spectral"}
+
+
+@pytest.mark.parametrize(
+    "args, loaded, uses_json",
+    [
+        (["--version"], set(), False),
+        (["moments", "--N", "4"], MOMENTS, False),
+        (["moments", "--N", "4", "--engine", "words", "--format", "csv"],
+         MOMENTS, False),
+        (["moments", "--jacobi", '{"kind": "standard"}', "--N", "4"], MOMENTS, True),
+        (["converge", "--N", "1,10"], MOMENTS, False),
+        (["converge", "--N", "1,10", "--format", "json"], MOMENTS, True),
+        (["converge", "--N", "1,10", "--plot", "c.svg"], MOMENTS | {"svgplot"}, False),
+        (["reconstruct", "--N", "5"], SPECTRAL, False),
+        (["reconstruct", "--N", "5", "--density", "--format", "csv"], SPECTRAL, False),
+        (["reconstruct", "--N", "5", "--format", "json"], SPECTRAL, True),
+        (["reconstruct", "--N", "5", "--plot", "r.svg"], SPECTRAL | {"svgplot"}, False),
+        (["classical", "--format", "csv"], {"laws"}, False),
+        (["classical", "--format", "json"], {"laws"}, True),
+        (["selfcheck", "--fast"], {"laws", "moments", "selfcheck", "spectral"}, False),
+    ],
+)
+def test_command_imports_only_what_it_runs(tmp_path, args, loaded, uses_json):
+    src = Path(fockmoments.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop(FAULT_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_IMPORTS, *args],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    code, modules, json_imported = proc.stderr.splitlines()[-1].split(" ")
+    assert code == "0"
+    assert set(modules.split(",")) == {"cli", "fock"} | loaded
+    assert json_imported == str(uses_json)

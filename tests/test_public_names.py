@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import fockmoments
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,3 +23,29 @@ def test_readme_lists_exactly_the_public_names():
     assert len(fockmoments.__all__) == len(set(fockmoments.__all__))
     for name in names:
         assert hasattr(fockmoments, name), name
+
+
+def test_star_import_binds_each_name_to_its_definition(monkeypatch):
+    for name in fockmoments.__all__:  # resolve each name afresh
+        monkeypatch.delattr(fockmoments, name, raising=False)
+    namespace = {}
+    exec("from fockmoments import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(fockmoments.__all__)
+    for name, value in namespace.items():
+        homes = [
+            getattr(fockmoments, module)
+            for module in ("fock", "laws", "moments", "spectral")
+            if hasattr(getattr(fockmoments, module), name)
+        ]
+        assert homes and all(getattr(m, name) is value for m in homes), name
+
+
+def test_submodules_and_unknown_names():
+    import fockmoments.spectral
+
+    assert getattr(fockmoments, "spectral") is fockmoments.spectral
+    with pytest.raises(AttributeError):
+        getattr(fockmoments, "no_such_name")
+    for name in ("EigensolverFailure", "TruncationTooSmall"):
+        assert getattr(fockmoments, name) is getattr(fockmoments.spectral, name)
