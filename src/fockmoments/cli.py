@@ -8,9 +8,15 @@ Subcommands:
 - ``classical``: exact classical-oscillator moments vs quadrature
 - ``selfcheck``: internal consistency suites
 
-Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration or
-validation error, 3 computational cap exceeded or eigensolver failure.
-Output is a pure function of the arguments; reruns are byte-identical.
+Each subparser names its command function with ``set_defaults(run=...)``;
+the function parses and checks its own arguments before any work.
+
+Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration,
+validation error or an ``--out`` or ``--plot`` path that cannot be
+written, 3 computational cap exceeded or eigensolver failure.  A
+``--plot`` file is written last, so when it fails the table has already
+been written.  Output is a pure function of the arguments; reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -40,26 +45,6 @@ from .fock import (
 
 class ConfigError(ValueError):
     """An invalid command line or configuration value."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved CLI invocation."""
-
-    command: str
-    jacobi: dict
-    states: tuple[int, ...] = ()
-    orders: tuple[int, ...] = ()
-    scale: str = "1"
-    dim: int | None = None
-    amplitude_squared: str | None = None
-    panels: int = 256
-    engine: str = "tridiagonal"
-    fmt: str = "text"
-    out: str | None = None
-    plot: str | None = None
-    density: bool = False
-    fast: bool = False
 
 
 def parse_jacobi(text: str) -> JacobiSequence:
@@ -112,7 +97,14 @@ def _parse_single_int(text: str, flag: str) -> int:
         raise ConfigError(f"{flag} must be an integer, got {text!r}") from exc
 
 
-def _parse_scale(text: str) -> str:
+def _check_nonnegative(values: Sequence[int], flag: str) -> None:
+    for value in values:
+        if value < 0:
+            raise ConfigError(f"{flag} values must be >= 0, got {value}")
+
+
+def _parse_scale(text: str) -> Fraction | str:
+    """A positive rational, or ``"canonical"``."""
     t = text.strip()
     if t == "canonical":
         return t
@@ -122,13 +114,11 @@ def _parse_scale(text: str) -> str:
         raise ConfigError(f"--scale: {exc}") from exc
     if value <= 0:
         raise ConfigError(f"--scale must be positive, got {t}")
-    return str(value)
+    return value
 
 
-def _resolve_scale(cfg: RunConfig, seq: JacobiSequence, state: int) -> Fraction:
-    if cfg.scale == "canonical":
-        return canonical_scale(seq, state)
-    return as_fraction(cfg.scale)
+def _resolve_scale(scale: Fraction | str, seq: JacobiSequence, state: int) -> Fraction:
+    return canonical_scale(seq, state) if scale == "canonical" else scale
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mo.add_argument("--format", choices=("text", "csv", "json"), default="text")
     mo.add_argument("--out", default=None)
+    mo.set_defaults(run=cmd_moments)
 
     co = sub.add_parser("converge", help="moments vs arcsine targets over N")
     co.add_argument("--jacobi", default="standard")
@@ -163,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--format", choices=("csv", "json"), default="csv")
     co.add_argument("--out", default=None)
     co.add_argument("--plot", default=None, help="write an SVG here")
+    co.set_defaults(run=cmd_converge)
 
     re = sub.add_parser("reconstruct", help="spectral measure of one state")
     re.add_argument("--jacobi", default="standard")
@@ -173,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     re.add_argument("--format", choices=("text", "csv", "json"), default="text")
     re.add_argument("--out", default=None)
     re.add_argument("--plot", default=None, help="write an SVG here")
+    re.set_defaults(run=cmd_reconstruct)
 
     cl = sub.add_parser("classical", help="classical oscillator moments")
     cl.add_argument("--A2", default="2", help="squared amplitude, rational")
@@ -180,94 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--panels", default="256")
     cl.add_argument("--format", choices=("text", "csv", "json"), default="text")
     cl.add_argument("--out", default=None)
+    cl.set_defaults(run=cmd_classical)
 
     sc = sub.add_parser("selfcheck", help="run internal consistency suites")
     sc.add_argument("--fast", action="store_true")
+    sc.set_defaults(run=cmd_selfcheck)
 
     return parser
 
 
-def config_from_args(argv: Sequence[str] | None = None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    command = ns.command
-    if command == "selfcheck":
-        return RunConfig(
-            command="selfcheck", jacobi={"kind": "standard"}, fast=ns.fast
-        )
-    jacobi = parse_jacobi(ns.jacobi).to_json() if hasattr(ns, "jacobi") else {
-        "kind": "standard"
-    }
-    if command == "moments":
-        states = (_parse_single_int(ns.N, "--N"),)
-        orders = _parse_int_list(ns.orders, "--orders")
-        cfg = RunConfig(
-            command=command,
-            jacobi=jacobi,
-            states=states,
-            orders=orders,
-            scale=_parse_scale(ns.scale),
-            engine=ns.engine,
-            fmt=ns.format,
-            out=ns.out,
-        )
-    elif command == "converge":
-        cfg = RunConfig(
-            command=command,
-            jacobi=jacobi,
-            states=_parse_int_list(ns.N, "--N"),
-            orders=_parse_int_list(ns.orders, "--orders"),
-            scale=_parse_scale(ns.scale),
-            fmt=ns.format,
-            out=ns.out,
-            plot=ns.plot,
-        )
-    elif command == "reconstruct":
-        state = _parse_single_int(ns.N, "--N")
-        dim = state + 64 if ns.K is None else _parse_single_int(ns.K, "--K")
-        cfg = RunConfig(
-            command=command,
-            jacobi=jacobi,
-            states=(state,),
-            scale=_parse_scale(ns.scale),
-            dim=dim,
-            density=ns.density,
-            fmt=ns.format,
-            out=ns.out,
-            plot=ns.plot,
-        )
-    elif command == "classical":
-        try:
-            a2 = as_fraction(ns.A2)
-        except ValueError as exc:
-            raise ConfigError(f"--A2: {exc}") from exc
-        if a2 <= 0:
-            raise ConfigError(f"--A2 must be positive, got {ns.A2}")
-        cfg = RunConfig(
-            command=command,
-            jacobi={"kind": "standard"},
-            orders=_parse_int_list(ns.orders, "--orders"),
-            amplitude_squared=str(a2),
-            panels=_parse_single_int(ns.panels, "--panels"),
-            fmt=ns.format,
-            out=ns.out,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown command {command!r}")
-
-    for n in cfg.states:
-        if n < 0:
-            raise ConfigError(f"--N values must be >= 0, got {n}")
-    for order in cfg.orders:
-        if order < 0:
-            raise ConfigError(f"--orders values must be >= 0, got {order}")
-    if cfg.dim is not None and cfg.dim < 1:
-        raise ConfigError(f"--K must be >= 1, got {cfg.dim}")
-    return cfg
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.out:
+        Path(ns.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -279,7 +196,7 @@ def _json_dumps(obj: object) -> str:
 
 
 def _emit_table(
-    cfg: RunConfig,
+    ns: argparse.Namespace,
     meta: dict,
     columns: Sequence[str],
     rows: Sequence[tuple],
@@ -288,45 +205,57 @@ def _emit_table(
     """Write rows as JSON (meta plus one object per row), as CSV under a
     header of the columns, or as text, one line per row: the cells joined
     by spaces unless ``text_row`` formats the line."""
-    if cfg.fmt == "json":
+    if ns.format == "json":
         text = _json_dumps(
             {**meta, "rows": [dict(zip(columns, row)) for row in rows]}
         )
-    elif cfg.fmt == "csv":
+    elif ns.format == "csv":
         text = "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
     else:
         text_row = text_row or (lambda row: " ".join(map(str, row)))
         text = "".join(text_row(row) + "\n" for row in rows)
-    _emit(cfg, text)
+    _emit(ns, text)
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(ns: argparse.Namespace) -> int:
+    seq = parse_jacobi(ns.jacobi)
+    state = _parse_single_int(ns.N, "--N")
+    orders = _parse_int_list(ns.orders, "--orders")
+    scale = _parse_scale(ns.scale)
+    _check_nonnegative((state,), "--N")
+    _check_nonnegative(orders, "--orders")
+
     from .moments import moment_by_words, moments_by_walk
 
-    seq = JacobiSequence.from_json(cfg.jacobi)
-    state = cfg.states[0]
-    scale = _resolve_scale(cfg, seq, state)
-    if cfg.engine == "words":
-        moments = [moment_by_words(seq, state, k, scale=scale) for k in cfg.orders]
+    scale = _resolve_scale(scale, seq, state)
+    if ns.engine == "words":
+        moments = [moment_by_words(seq, state, k, scale=scale) for k in orders]
     else:
-        moments = moments_by_walk(seq, state, cfg.orders, scale=scale)
-    meta = {"jacobi": cfg.jacobi, "N": state, "scale": str(scale), "engine": cfg.engine}
-    rows = [(order, str(v)) for order, v in zip(cfg.orders, moments)]
-    _emit_table(cfg, meta, ("order", "value"), rows)
+        moments = moments_by_walk(seq, state, orders, scale=scale)
+    meta = {
+        "jacobi": seq.to_json(), "N": state, "scale": str(scale), "engine": ns.engine
+    }
+    rows = [(order, str(v)) for order, v in zip(orders, moments)]
+    _emit_table(ns, meta, ("order", "value"), rows)
     return 0
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(ns: argparse.Namespace) -> int:
+    seq = parse_jacobi(ns.jacobi)
+    states = _parse_int_list(ns.N, "--N")
+    orders = _parse_int_list(ns.orders, "--orders")
+    scale = _parse_scale(ns.scale)
+    _check_nonnegative(states, "--N")
+    _check_nonnegative(orders, "--orders")
+
     from .moments import convergence_csv, convergence_json, convergence_table
 
-    seq = JacobiSequence.from_json(cfg.jacobi)
-    scale = "canonical" if cfg.scale == "canonical" else as_fraction(cfg.scale)
-    rows = convergence_table(seq, cfg.states, cfg.orders, scale=scale)
+    rows = convergence_table(seq, states, orders, scale=scale)
     # plot points before any output, so a difference past the float range
     # fails with nothing written
     series = []
-    if cfg.plot:
-        for order in sorted(set(cfg.orders)):
+    if ns.plot:
+        for order in sorted(set(orders)):
             name = f"order {order} abs_diff"
             pts = [
                 (float(r.state), to_float(r.abs_diff, f"{name} at N = {r.state}"))
@@ -335,13 +264,12 @@ def cmd_converge(cfg: RunConfig) -> int:
             ]
             if pts:
                 series.append((f"order {order}", pts))
-    if cfg.fmt == "json":
-        text = _json_dumps(
-            {"jacobi": cfg.jacobi, "scale": cfg.scale, "rows": convergence_json(rows)}
-        )
+    if ns.format == "json":
+        meta = {"jacobi": seq.to_json(), "scale": str(scale)}
+        text = _json_dumps({**meta, "rows": convergence_json(rows)})
     else:
         text = convergence_csv(rows)
-    _emit(cfg, text)
+    _emit(ns, text)
     if series:
         from .svgplot import line_plot
 
@@ -352,8 +280,8 @@ def cmd_converge(cfg: RunConfig) -> int:
             ylabel="|scaled moment - target|",
             loglog=True,
         )
-        Path(cfg.plot).write_text(svg, encoding="utf-8")
-    elif cfg.plot:
+        Path(ns.plot).write_text(svg, encoding="utf-8")
+    elif ns.plot:
         print(
             "note: all differences are exactly zero, no plot written",
             file=sys.stderr,
@@ -373,7 +301,15 @@ def _density_points(
     return [(x, root * v) for x, v in zip(xs, density)]
 
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
+def cmd_reconstruct(ns: argparse.Namespace) -> int:
+    seq = parse_jacobi(ns.jacobi)
+    state = _parse_single_int(ns.N, "--N")
+    dim = state + 64 if ns.K is None else _parse_single_int(ns.K, "--K")
+    scale = _parse_scale(ns.scale)
+    _check_nonnegative((state,), "--N")
+    if dim < 1:
+        raise ConfigError(f"--K must be >= 1, got {dim}")
+
     from .spectral import (
         _check_density_cap,
         ks_distance_to_arcsine,
@@ -381,54 +317,51 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         reconstruct_state_measure,
     )
 
-    seq = JacobiSequence.from_json(cfg.jacobi)
-    state = cfg.states[0]
-    scale = _resolve_scale(cfg, seq, state)
-    assert cfg.dim is not None
-    if cfg.density and seq.kind != "standard":
+    scale = _resolve_scale(scale, seq, state)
+    if ns.density and seq.kind != "standard":
         raise ConfigError("--density is defined for the standard sequence only")
-    if cfg.density:
+    if ns.density:
         _check_density_cap(state)  # no eigensolve for a density over the cap
-    measure = reconstruct_state_measure(seq, state, cfg.dim, scale=scale)
-    if lossless_order(state, cfg.dim) <= 2:
+    measure = reconstruct_state_measure(seq, state, dim, scale=scale)
+    if lossless_order(state, dim) <= 2:
         print(
-            f"warning: K = {cfg.dim} reproduces moments of N = {state} only "
-            f"up to order {lossless_order(state, cfg.dim)}",
+            f"warning: K = {dim} reproduces moments of N = {state} only "
+            f"up to order {lossless_order(state, dim)}",
             file=sys.stderr,
         )
     ks = ks_distance_to_arcsine(measure)
     density_pts = None
-    if cfg.density:
+    if ns.density:
         density_pts = _density_points(
             state, scale, measure.atoms[0][0], measure.atoms[-1][0]
         )
 
-    if cfg.fmt == "json":
+    if ns.format == "json":
         payload = {
-            "jacobi": cfg.jacobi,
+            "jacobi": seq.to_json(),
             "N": state,
-            "K": cfg.dim,
+            "K": dim,
             "scale": str(scale),
             "ks_to_arcsine": ks,
             **measure.to_json(),
         }
         if density_pts is not None:
             payload["density_grid"] = [[x, f] for x, f in density_pts]
-        _emit(cfg, _json_dumps(payload))
-    elif cfg.fmt == "csv":
-        _emit(cfg, measure.to_csv())
+        _emit(ns, _json_dumps(payload))
+    elif ns.format == "csv":
+        _emit(ns, measure.to_csv())
         if density_pts is not None:
             dtext = "x,density\n" + "".join(
                 f"{x!r},{f!r}\n" for x, f in density_pts
             )
-            if cfg.out:
-                Path(cfg.out + ".density.csv").write_text(dtext, encoding="utf-8")
+            if ns.out:
+                Path(ns.out + ".density.csv").write_text(dtext, encoding="utf-8")
             else:
                 sys.stdout.write("\n" + dtext)
         print(f"ks_to_arcsine = {ks!r}")
     else:
         lines = [
-            f"# N = {state}, K = {cfg.dim}, scale = {scale}",
+            f"# N = {state}, K = {dim}, scale = {scale}",
             "# location weight",
         ]
         lines.extend(f"{x!r} {w!r}" for x, w in measure.atoms)
@@ -436,9 +369,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             lines.append("# x density")
             lines.extend(f"{x!r} {f!r}" for x, f in density_pts)
         lines.append(f"ks_to_arcsine = {ks!r}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(ns, "\n".join(lines) + "\n")
 
-    if cfg.plot:
+    if ns.plot:
         from .laws import arcsine_density
         from .svgplot import line_plot
 
@@ -473,36 +406,44 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             series.append(("state density", density_pts))
         svg = line_plot(
             series,
-            title=f"Spectral reconstruction, N = {state}, K = {cfg.dim}",
+            title=f"Spectral reconstruction, N = {state}, K = {dim}",
             xlabel="x",
             ylabel="density",
         )
-        Path(cfg.plot).write_text(svg, encoding="utf-8")
+        Path(ns.plot).write_text(svg, encoding="utf-8")
     return 0
 
 
-def cmd_classical(cfg: RunConfig) -> int:
+def cmd_classical(ns: argparse.Namespace) -> int:
+    try:
+        a2 = as_fraction(ns.A2)
+    except ValueError as exc:
+        raise ConfigError(f"--A2: {exc}") from exc
+    if a2 <= 0:
+        raise ConfigError(f"--A2 must be positive, got {ns.A2}")
+    orders = _parse_int_list(ns.orders, "--orders")
+    panels = _parse_single_int(ns.panels, "--panels")
+    _check_nonnegative(orders, "--orders")
+
     from .laws import classical_moment, classical_moment_quadrature
 
-    assert cfg.amplitude_squared is not None
-    a2 = as_fraction(cfg.amplitude_squared)
     amplitude = math.sqrt(to_float(a2, "--A2"))
     rows = []
-    for order in cfg.orders:
+    for order in orders:
         exact = classical_moment(a2, order)
-        quad = classical_moment_quadrature(amplitude, order, panels=cfg.panels)
+        quad = classical_moment_quadrature(amplitude, order, panels=panels)
         diff = abs(to_float(exact, f"order {order} moment") - quad)
         rows.append((order, str(exact), quad, diff))
-    meta = {"A2": cfg.amplitude_squared, "panels": cfg.panels}
+    meta = {"A2": str(a2), "panels": panels}
     columns = ("order", "exact", "quadrature", "abs_diff")
-    _emit_table(cfg, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
+    _emit_table(ns, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
     return 0
 
 
-def cmd_selfcheck(cfg: RunConfig) -> int:
+def cmd_selfcheck(ns: argparse.Namespace) -> int:
     from .selfcheck import run_selfcheck
 
-    results = run_selfcheck(fast=cfg.fast)
+    results = run_selfcheck(fast=ns.fast)
     failed = 0
     for result in results:
         if result.passed:
@@ -514,36 +455,18 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     return 0 if failed == 0 else 1
 
 
-_COMMANDS = {
-    "moments": cmd_moments,
-    "converge": cmd_converge,
-    "reconstruct": cmd_reconstruct,
-    "classical": cmd_classical,
-    "selfcheck": cmd_selfcheck,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    if cfg.command not in _COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    return _COMMANDS[cfg.command](cfg)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        cfg = config_from_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
-        return run(cfg)
+        return ns.run(ns)
     except (CapExceeded, EigensolverFailure, TruncationTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

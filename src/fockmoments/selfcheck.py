@@ -2,17 +2,13 @@
 
 Each suite recomputes a family of results by two routes that must agree,
 or checks a proved structural property, and reports the first
-counterexample it finds.  The environment variable
-FOCKMOMENTS_SELFCHECK_FAULT=<suite-name> forces that suite to report a
-failure; it exists so the failure path (exit code 1) can be exercised
-deliberately.
+counterexample it finds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +22,6 @@ from .moments import (
     word_matrix_element,
 )
 from .spectral import density_spectrum_sup
-
-FAULT_ENV = "FOCKMOMENTS_SELFCHECK_FAULT"
 
 # Mid-jump reading of a step CDF against the integrated state density;
 # see spectral.density_spectrum_sup for why exact agreement is impossible.
@@ -224,16 +218,4 @@ _SUITES = (
 
 def run_selfcheck(fast: bool = False) -> list[SuiteResult]:
     """Run all suites and return their results in a fixed order."""
-    fault = os.environ.get(FAULT_ENV, "")
-    results = []
-    for suite in _SUITES:
-        result = suite(fast)
-        if fault and result.name == fault:
-            result = SuiteResult(
-                result.name,
-                False,
-                result.checks,
-                "injected fault (debug hook)",
-            )
-        results.append(result)
-    return results
+    return [suite(fast) for suite in _SUITES]

@@ -7,13 +7,16 @@ exact comparisons use rational equality with zero tolerance.
 
 import contextlib
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import fockmoments
 from fockmoments.fock import JacobiSequence, STANDARD, enumerate_balanced_words
 from fockmoments.laws import (
     arcsine_moment,
@@ -59,6 +62,8 @@ def run_cmd(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "fockmoments", *args],
         capture_output=True,
+        # the package from this source tree, installed or not
+        env={**os.environ, "PYTHONPATH": str(Path(fockmoments.__file__).parents[1])},
         timeout=300,
     )
 

@@ -8,18 +8,16 @@ from pathlib import Path
 import pytest
 
 import fockmoments
-from fockmoments.cli import (
-    ConfigError,
-    RunConfig,
-    config_from_args,
-    main,
-    parse_jacobi,
-)
+from fockmoments.cli import ConfigError, main, parse_jacobi
 from fockmoments.fock import JacobiSequence
-from fockmoments.selfcheck import FAULT_ENV
 
 
 BIG = "1" + "0" * 400
+
+# lets a subprocess import the package from this source tree, installed or not
+SUBPROCESS_ENV = {
+    **os.environ, "PYTHONPATH": str(Path(fockmoments.__file__).resolve().parents[1])
+}
 
 # rationals past the float range, each with the name its error line gives
 FLOAT_RANGE_CASES = [
@@ -33,6 +31,14 @@ FLOAT_RANGE_CASES = [
     (["classical", "--A2", "1e300", "--orders", "4"], "order 4"),
     (["converge", "--N", "1,2", "--orders", "2", "--scale", "1/" + BIG,
       "--plot", "x.svg"], "order 2 abs_diff at N = 1"),
+]
+
+# output paths that cannot be written, relative to an empty directory
+UNWRITABLE_CASES = [
+    ["moments", "--N", "4", "--out", "missing/x.txt"],
+    ["moments", "--N", "4", "--out", "."],
+    ["converge", "--N", "1,10", "--plot", "missing/x.svg"],
+    ["reconstruct", "--N", "2", "--K", "10", "--plot", "missing/r.svg"],
 ]
 
 
@@ -180,6 +186,15 @@ def test_reconstruct_json_with_density(capsys):
     assert payload["ks_to_arcsine"] > 0
 
 
+def test_reconstruct_default_dimension_out_file(capsys, tmp_path):
+    target = tmp_path / "rec.txt"
+    code, out, _ = run_cli(capsys, ["reconstruct", "--N", "3", "--out", str(target)])
+    assert (code, out) == (0, "")
+    text = target.read_text(encoding="utf-8")
+    assert text.startswith("# N = 3, K = 67, scale = 1\n")  # default K = N + 64
+    assert text == run_cli(capsys, ["reconstruct", "--N", "3"])[1]
+
+
 def test_reconstruct_density_csv_writes_sibling_file(capsys, tmp_path):
     target = tmp_path / "rec.csv"
     code, _, _ = run_cli(
@@ -257,6 +272,16 @@ def test_classical_json(capsys):
     assert abs(payload["rows"][0]["quadrature"] - 1.5) < 1e-12
 
 
+def test_classical_default_orders_and_meta(capsys):
+    code, out, _ = run_cli(
+        capsys, ["classical", "--A2", "5/2", "--panels", "64", "--format", "json"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["A2"], payload["panels"]) == ("5/2", 64)
+    assert [row["order"] for row in payload["rows"]] == list(range(9))
+
+
 # bytes printed before the three commands shared one table writer
 MOMENTS_ARGV = ["moments", "--jacobi", "q=1/2", "--N", "3", "--orders", "0,1,2,4",
                 "--scale", "canonical"]
@@ -285,6 +310,25 @@ MOMENTS_JSON = """{
     {
       "order": 4,
       "value": "2483/1568"
+    }
+  ]
+}
+"""
+# --jacobi and --scale as the JSON meta shows them
+MOMENTS_META_ARGV = ["moments", "--jacobi", "q=1/2", "--N", "4", "--orders", "4",
+                     "--scale", "4"]
+MOMENTS_META_JSON = """{
+  "jacobi": {
+    "kind": "q",
+    "q": "1/2"
+  },
+  "N": 4,
+  "scale": "4",
+  "engine": "tridiagonal",
+  "rows": [
+    {
+      "order": 4,
+      "value": "11075/32768"
     }
   ]
 }
@@ -329,28 +373,41 @@ CLASSICAL_JSON = """{
         (MOMENTS_ARGV, "json", MOMENTS_JSON),
         (CLASSICAL_ARGV, "csv", CLASSICAL_CSV),
         (CLASSICAL_ARGV, "json", CLASSICAL_JSON),
+        (MOMENTS_META_ARGV, "json", MOMENTS_META_JSON),
     ],
-    ids=["moments-csv", "moments-json", "classical-csv", "classical-json"],
+    ids=["moments-csv", "moments-json", "classical-csv", "classical-json",
+         "moments-json-meta"],
 )
 def test_table_formats_byte_exact(capsys, argv, fmt, expected):
     code, out, err = run_cli(capsys, argv + ["--format", fmt])
     assert (code, out, err) == (0, expected, "")
 
 
-def test_selfcheck_fast_passes(capsys, monkeypatch):
-    monkeypatch.delenv(FAULT_ENV, raising=False)
+def test_selfcheck_fast_passes(capsys):
     code, out, _ = run_cli(capsys, ["selfcheck", "--fast"])
     assert code == 0
-    lines = out.splitlines()
-    assert lines[-1] == "5/5 suites passed"
-    assert all(line.startswith("ok ") for line in lines[:-1])
+    assert out == (
+        "ok engine-equivalence (168 checks)\n"
+        "ok envelope-containment (16 checks)\n"
+        "ok odd-vanishing (225 checks)\n"
+        "ok hankel-psd (26 checks)\n"
+        "ok density-spectrum (2 checks)\n"
+        "5/5 suites passed\n"
+    )
 
 
 def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
-    monkeypatch.setenv(FAULT_ENV, "envelope-containment")
+    import fockmoments.selfcheck as selfcheck
+
+    def failing(fast):
+        return selfcheck.SuiteResult("envelope-containment", False, 0, "injected")
+
+    suites = list(selfcheck._SUITES)
+    suites[1] = failing
+    monkeypatch.setattr(selfcheck, "_SUITES", tuple(suites))
     code, out, _ = run_cli(capsys, ["selfcheck", "--fast"])
     assert code == 1
-    assert "FAIL envelope-containment: injected fault (debug hook)" in out
+    assert "FAIL envelope-containment: injected\n" in out
     assert "4/5 suites passed" in out
 
 
@@ -373,6 +430,7 @@ def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
         ["nonsense"],
         [],
         *(args for args, _ in FLOAT_RANGE_CASES),
+        *UNWRITABLE_CASES,
     ],
 )
 def test_invalid_configurations_exit_2(capsys, monkeypatch, tmp_path, args):
@@ -389,6 +447,17 @@ def test_float_range_error_is_one_line(capsys, monkeypatch, tmp_path, args, name
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
     assert list(tmp_path.iterdir()) == []  # no --plot file either
+
+
+@pytest.mark.parametrize("args", UNWRITABLE_CASES)
+def test_unwritable_output_is_one_line(capsys, monkeypatch, tmp_path, args):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, args)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # --plot is written last: the table is already on stdout
+    assert out == (run_cli(capsys, args[:-2])[1] if "--plot" in args else "")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -462,53 +531,6 @@ def test_help_and_version_exit_0(capsys):
     assert code == 0
 
 
-def test_config_round_trip():
-    # argv resolves to exactly these fields; every other field keeps its default
-    standard = {"kind": "standard"}
-    cases = [
-        (
-            ["moments", "--N", "4", "--orders", "4", "--scale", "4"],
-            dict(jacobi=standard, states=(4,), orders=(4,), scale="4"),
-        ),
-        (
-            [
-                "converge",
-                "--jacobi",
-                "q=1/2",
-                "--N",
-                "1,10",
-                "--orders",
-                "2,4",
-                "--format",
-                "json",
-            ],
-            dict(
-                jacobi={"kind": "q", "q": "1/2"},
-                states=(1, 10),
-                orders=(2, 4),
-                scale="canonical",
-                fmt="json",
-            ),
-        ),
-        (
-            ["reconstruct", "--N", "3", "--K", "30", "--density", "--out", "x.csv"],
-            dict(jacobi=standard, states=(3,), dim=30, density=True, out="x.csv"),
-        ),
-        (
-            ["classical", "--A2", "5/2", "--panels", "64"],
-            dict(
-                jacobi=standard,
-                orders=tuple(range(9)),
-                amplitude_squared="5/2",
-                panels=64,
-            ),
-        ),
-        (["selfcheck", "--fast"], dict(jacobi=standard, fast=True)),
-    ]
-    for argv, resolved in cases:
-        assert config_from_args(argv) == RunConfig(command=argv[0], **resolved)
-
-
 def test_parse_jacobi_forms():
     assert parse_jacobi("standard") == JacobiSequence.standard()
     assert parse_jacobi("q=1/2").q is not None
@@ -546,8 +568,8 @@ def test_module_entry_subprocess_deterministic():
         "--orders",
         "2,4",
     ]
-    first = subprocess.run(cmd, capture_output=True, timeout=120)
-    second = subprocess.run(cmd, capture_output=True, timeout=120)
+    first = subprocess.run(cmd, capture_output=True, env=SUBPROCESS_ENV, timeout=120)
+    second = subprocess.run(cmd, capture_output=True, env=SUBPROCESS_ENV, timeout=120)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.decode().startswith("N,order,")
@@ -589,12 +611,9 @@ SPECTRAL = {"laws", "spectral"}
     ],
 )
 def test_command_imports_only_what_it_runs(tmp_path, args, loaded, uses_json):
-    src = Path(fockmoments.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop(FAULT_ENV, None)
     proc = subprocess.run(
         [sys.executable, "-c", _REPORT_IMPORTS, *args],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+        capture_output=True, text=True, cwd=tmp_path, env=SUBPROCESS_ENV, timeout=120,
     )
     code, modules, json_imported = proc.stderr.splitlines()[-1].split(" ")
     assert code == "0"

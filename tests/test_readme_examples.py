@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from fockmoments.cli import main
-from fockmoments.selfcheck import FAULT_ENV
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,7 +34,6 @@ def test_readme_shows_every_printing_command():
 @pytest.mark.parametrize(
     "argv, shown", EXAMPLES, ids=[" ".join(argv) for argv, _ in EXAMPLES]
 )
-def test_readme_example_output(capsys, monkeypatch, argv, shown):
-    monkeypatch.delenv(FAULT_ENV, raising=False)
+def test_readme_example_output(capsys, argv, shown):
     assert main(argv) == 0
     assert capsys.readouterr().out == shown
