@@ -33,16 +33,15 @@ _HOME = {
             "validate_moments",
         ),
         "moments": (
-            "ConvergenceRow", "MomentEnvelope", "MomentSequence", "convergence_csv",
-            "convergence_json", "convergence_table", "moment_by_tridiagonal",
-            "moment_by_words", "moment_envelope", "moment_sequence",
+            "ConvergenceRow", "MomentEnvelope", "convergence_csv", "convergence_json",
+            "convergence_table", "moment_by_words", "moment_envelope",
             "moments_by_walk", "walk_returns", "word_matrix_element",
         ),
         "spectral": (
             "DiscreteMeasure", "EIGEN_DIM_CAP", "Tridiagonal", "TridiagonalSpectrum",
             "density_spectrum_sup", "eigendecompose", "hermite_density_grid",
-            "hermite_state_density", "ks_distance_to_arcsine", "lossless_order",
-            "reconstruct_state_measure", "truncated_position_matrix",
+            "ks_distance_to_arcsine", "lossless_order", "reconstruct_state_measure",
+            "truncated_position_matrix",
         ),
     }.items()
     for name in names

@@ -37,6 +37,7 @@ from .fock import (
     EigensolverFailure,
     JacobiSequence,
     TruncationTooSmall,
+    _exact_str,
     as_fraction,
     canonical_scale,
     to_float,
@@ -233,9 +234,15 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     else:
         moments = moments_by_walk(seq, state, orders, scale=scale)
     meta = {
-        "jacobi": seq.to_json(), "N": state, "scale": str(scale), "engine": ns.engine
+        "jacobi": seq.to_json(),
+        "N": state,
+        "scale": _exact_str(scale, "--scale"),
+        "engine": ns.engine,
     }
-    rows = [(order, str(v)) for order, v in zip(orders, moments)]
+    rows = [
+        (order, _exact_str(v, f"order {order} moment"))
+        for order, v in zip(orders, moments)
+    ]
     _emit_table(ns, meta, ("order", "value"), rows)
     return 0
 
@@ -265,7 +272,7 @@ def cmd_converge(ns: argparse.Namespace) -> int:
             if pts:
                 series.append((f"order {order}", pts))
     if ns.format == "json":
-        meta = {"jacobi": seq.to_json(), "scale": str(scale)}
+        meta = {"jacobi": seq.to_json(), "scale": _exact_str(scale, "--scale")}
         text = _json_dumps({**meta, "rows": convergence_json(rows)})
     else:
         text = convergence_csv(rows)
@@ -290,13 +297,14 @@ def cmd_converge(ns: argparse.Namespace) -> int:
 
 
 def _density_points(
-    state: int, scale: Fraction, lo: float, hi: float, count: int = 257
+    state: int, scale: Fraction, lo: float, hi: float
 ) -> list[tuple[float, float]]:
     from .spectral import hermite_density_grid
 
-    # density of the scaled position: sqrt(s) * |phi_N(x sqrt(s))|^2
+    # density of the scaled position: sqrt(s) * |phi_N(x sqrt(s))|^2,
+    # at 257 points from lo to hi
     root = math.sqrt(float(scale))
-    xs = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    xs = [lo + (hi - lo) * i / 256 for i in range(257)]
     density = hermite_density_grid(state, [x * root for x in xs])
     return [(x, root * v) for x, v in zip(xs, density)]
 
@@ -341,7 +349,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
             "jacobi": seq.to_json(),
             "N": state,
             "K": dim,
-            "scale": str(scale),
+            "scale": _exact_str(scale, "--scale"),
             "ks_to_arcsine": ks,
             **measure.to_json(),
         }
@@ -361,7 +369,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
         print(f"ks_to_arcsine = {ks!r}")
     else:
         lines = [
-            f"# N = {state}, K = {dim}, scale = {scale}",
+            f"# N = {state}, K = {dim}, scale = {_exact_str(scale, '--scale')}",
             "# location weight",
         ]
         lines.extend(f"{x!r} {w!r}" for x, w in measure.atoms)
@@ -433,8 +441,8 @@ def cmd_classical(ns: argparse.Namespace) -> int:
         exact = classical_moment(a2, order)
         quad = classical_moment_quadrature(amplitude, order, panels=panels)
         diff = abs(to_float(exact, f"order {order} moment") - quad)
-        rows.append((order, str(exact), quad, diff))
-    meta = {"A2": str(a2), "panels": panels}
+        rows.append((order, _exact_str(exact, f"order {order} moment"), quad, diff))
+    meta = {"A2": _exact_str(a2, "--A2"), "panels": panels}
     columns = ("order", "exact", "quadrature", "abs_diff")
     _emit_table(ns, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
     return 0

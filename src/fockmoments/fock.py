@@ -14,6 +14,7 @@ serialize as ``"p/q"`` strings.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
@@ -68,6 +69,19 @@ def to_float(value: Fraction, name: str) -> float:
         raise ValueError(f"{name} is too large for a float") from None
 
 
+def _exact_str(value: Fraction, name: str) -> str:
+    """``str(value)``; CapExceeded naming it when a part has more digits
+    than the interpreter converts to a string (``sys.set_int_max_str_digits``,
+    4300 by default), a limit that keeps a huge number from being printed."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CapExceeded(
+            f"{name} has more than {limit:,} digits, too many to print"
+        ) from None
+
+
 def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
     """The q-integer [n]_q = 1 + q + ... + q^(n-1), exactly.
 
@@ -82,6 +96,10 @@ def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
         return Fraction(n)
     # geometric sum (1 - q^n) / (1 - q)
     return (1 - qf**n) / (1 - qf)
+
+
+# the fields each kind's JSON description takes besides "kind"
+_JSON_FIELDS = {"standard": (), "q": ("q",), "explicit": ("omega",)}
 
 
 @dataclass(frozen=True)
@@ -157,30 +175,40 @@ class JacobiSequence:
 
         Schema: ``{"kind": "standard"}``, ``{"kind": "q", "q": "1/2"}``, or
         ``{"kind": "explicit", "omega": ["1", "3/2", "2"]}``.  Rationals are
-        strings.
+        strings.  A field that the kind does not take, and an empty
+        ``omega`` list, are rejected.
         """
         if not isinstance(obj, dict):
             raise ValueError("Jacobi sequence description must be an object")
         kind = obj.get("kind")
+        if not isinstance(kind, str) or kind not in _JSON_FIELDS:
+            raise ValueError(f"unknown Jacobi sequence kind: {kind!r}")
+        for name in obj:
+            if name not in ("kind", *_JSON_FIELDS[kind]):
+                raise ValueError(f"kind {kind!r} takes no field {name!r}")
         if kind == "standard":
             return JacobiSequence.standard()
         if kind == "q":
             if "q" not in obj:
                 raise ValueError("kind 'q' requires a field 'q'")
             return JacobiSequence.q_deformed(as_fraction(obj["q"]))
-        if kind == "explicit":
-            if "omega" not in obj or not isinstance(obj["omega"], list):
-                raise ValueError("kind 'explicit' requires a list field 'omega'")
-            return JacobiSequence.explicit([as_fraction(w) for w in obj["omega"]])
-        raise ValueError(f"unknown Jacobi sequence kind: {kind!r}")
+        if "omega" not in obj or not isinstance(obj["omega"], list):
+            raise ValueError("kind 'explicit' requires a list field 'omega'")
+        if not obj["omega"]:
+            raise ValueError("explicit list is empty")
+        return JacobiSequence.explicit([as_fraction(w) for w in obj["omega"]])
 
     def to_json(self) -> dict:
         """JSON description, inverse of ``from_json``."""
         if self.kind == "standard":
             return {"kind": "standard"}
         if self.kind == "q":
-            return {"kind": "q", "q": str(self.q)}
-        return {"kind": "explicit", "omega": [str(w) for w in self.omegas]}
+            return {"kind": "q", "q": _exact_str(self.q, "q")}
+        omegas = enumerate(self.omegas, 1)
+        return {
+            "kind": "explicit",
+            "omega": [_exact_str(w, f"weight omega_{i}") for i, w in omegas],
+        }
 
 
 STANDARD = JacobiSequence.standard()

@@ -25,6 +25,7 @@ from .fock import (
     LadderWord,
     Letter,
     _check_word_cap,
+    _exact_str,
     as_fraction,
     canonical_scale,
     state_index,
@@ -187,67 +188,6 @@ def moments_by_walk(
     return [Fraction(0) if k % 2 else walk[k] / s ** (k // 2) for k in orders]
 
 
-def moment_by_tridiagonal(
-    seq: JacobiSequence,
-    state: int,
-    order: int,
-    scale: Union[int, str, Fraction] = 1,
-) -> Fraction:
-    """Order-n moment of X / sqrt(s) by the level walk; see ``moments_by_walk``."""
-    return moments_by_walk(seq, state, (order,), scale)[0]
-
-
-@dataclass(frozen=True)
-class MomentSequence:
-    """Moments 0..max_order of one scaled number-state distribution."""
-
-    jacobi: JacobiSequence
-    state: int
-    scale: Fraction
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("a moment sequence holds at least the zeroth moment")
-        if self.values[0] != 1:
-            raise ValueError(f"zeroth moment must be 1, got {self.values[0]}")
-        for i in range(1, len(self.values), 2):
-            if self.values[i] != 0:
-                raise ValueError(f"odd moment {i} must vanish, got {self.values[i]}")
-
-    @property
-    def max_order(self) -> int:
-        return len(self.values) - 1
-
-    def moment(self, order: int) -> Fraction:
-        if not 0 <= order <= self.max_order:
-            raise ValueError(f"order {order} outside 0..{self.max_order}")
-        return self.values[order]
-
-    def to_json(self) -> dict:
-        return {
-            "jacobi": self.jacobi.to_json(),
-            "state": self.state,
-            "scale": str(self.scale),
-            "moments": [str(v) for v in self.values],
-        }
-
-
-def moment_sequence(
-    seq: JacobiSequence,
-    state: int,
-    max_order: int,
-    scale: Union[int, str, Fraction] = 1,
-) -> MomentSequence:
-    """Build the moments 0..max_order of X / sqrt(s) in the N-th state."""
-    n = state_index(state)
-    s = as_fraction(scale)
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    values = tuple(moments_by_walk(seq, n, range(max_order + 1), scale=s))
-    return MomentSequence(jacobi=seq, state=n, scale=s, values=values)
-
-
 @dataclass(frozen=True)
 class MomentEnvelope:
     """Rational sandwich bounds for one canonically scaled even moment."""
@@ -365,6 +305,17 @@ def convergence_table(
     return rows
 
 
+def _exact_cells(row: ConvergenceRow, names: Sequence[str]) -> list[str | None]:
+    """The row's rationals under these field names as exact strings, None
+    for a missing bound."""
+    at = f" at N = {row.state}, order {row.order}"
+    values = (getattr(row, name) for name in names)
+    return [
+        None if v is None else _exact_str(v, name + at)
+        for name, v in zip(names, values)
+    ]
+
+
 def convergence_csv(rows: Sequence[ConvergenceRow]) -> str:
     """Render a convergence table as CSV with exact rational cells.
 
@@ -372,26 +323,16 @@ def convergence_csv(rows: Sequence[ConvergenceRow]) -> str:
     """
     lines = [",".join(CONVERGENCE_COLUMNS)]
     for r in rows:
-        cells = (r.state, r.order, r.scaled_moment, r.target, r.abs_diff)
-        bounds = ("" if b is None else str(b) for b in (r.env_lo, r.env_hi))
-        lines.append(",".join([*map(str, cells), *bounds]))
+        cells = _exact_cells(r, CONVERGENCE_COLUMNS[2:])
+        blanked = ("" if c is None else c for c in cells)
+        lines.append(",".join([str(r.state), str(r.order), *blanked]))
     return "".join(line + "\n" for line in lines)
 
 
 def convergence_json(rows: Sequence[ConvergenceRow]) -> list[dict]:
     """Convergence rows as JSON-ready dicts with exact rational strings."""
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "N": row.state,
-                "order": row.order,
-                "scale": str(row.scale),
-                "scaled_moment": str(row.scaled_moment),
-                "target": str(row.target),
-                "abs_diff": str(row.abs_diff),
-                "env_lo": None if row.env_lo is None else str(row.env_lo),
-                "env_hi": None if row.env_hi is None else str(row.env_hi),
-            }
-        )
-    return out
+    names = ("scale", *CONVERGENCE_COLUMNS[2:])
+    return [
+        {"N": r.state, "order": r.order, **dict(zip(names, _exact_cells(r, names)))}
+        for r in rows
+    ]

@@ -481,12 +481,6 @@ def hermite_density_grid(
     return [p * p for p in phi]
 
 
-def hermite_state_density(state: int, x: float) -> float:
-    """Position density of the N-th standard-oscillator number state at x;
-    see ``hermite_density_grid``."""
-    return hermite_density_grid(state, (x,))[0]
-
-
 def ks_distance_to_arcsine(measure: DiscreteMeasure) -> float:
     """Kolmogorov-Smirnov distance between a discrete measure and the
     arcsine law.
@@ -521,9 +515,7 @@ def density_cdf(state: int, xs: Sequence[float]) -> list[float]:
     return out
 
 
-def density_spectrum_sup(
-    state: int, dim: int, panels: int = 20000
-) -> float:
+def density_spectrum_sup(state: int, dim: int, panels: int) -> float:
     """Sup distance between spectral and density CDFs of a standard state.
 
     Compares the K-level reconstructed measure against the integrated

@@ -19,6 +19,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 Series = tuple[str, Sequence[tuple[float, float]]]
 
+_WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70.0, 24.0, 42.0, 52.0
 
 
@@ -42,12 +43,10 @@ def _tick_label(value: float, log: bool) -> str:
 def line_plot(
     series: Sequence[Series],
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
     loglog: bool = False,
-    width: int = 640,
-    height: int = 440,
 ) -> str:
     """Render series of (x, y) points as an SVG line chart string.
 
@@ -78,8 +77,8 @@ def line_plot(
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -88,15 +87,12 @@ def line_plot(
         return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
-        )
 
     for tx in _ticks(x_lo, x_hi, loglog):
         gx = px(tx)
@@ -122,23 +118,17 @@ def line_plot(
             f"{escape(_tick_label(ty, loglog))}</text>"
         )
 
-    parts.append(
+    cy = _MARGIN_T + plot_h / 2
+    parts += [
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" '
-        f'height="{plot_h:.2f}" fill="none" stroke="#333333"/>'
-    )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 12}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(xlabel)}</text>"
-        )
-    if ylabel:
-        cy = _MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{cy:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {cy:.2f})">{escape(ylabel)}</text>'
-        )
+        f'height="{plot_h:.2f}" fill="none" stroke="#333333"/>',
+        f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 12}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+        f"{escape(xlabel)}</text>",
+        f'<text x="16" y="{cy:.2f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {cy:.2f})">{escape(ylabel)}</text>',
+    ]
 
     for idx, (label, pts) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]

@@ -26,15 +26,14 @@ from fockmoments.laws import (
     validate_moments,
 )
 from fockmoments.moments import (
-    moment_by_tridiagonal,
     moment_by_words,
     moment_envelope,
-    moment_sequence,
+    moments_by_walk,
     walk_returns,
     word_matrix_element,
 )
 from fockmoments.spectral import (
-    hermite_state_density,
+    hermite_density_grid,
     ks_distance_to_arcsine,
     reconstruct_state_measure,
 )
@@ -80,9 +79,10 @@ def test_criterion_02_scaled_moments_converge_within_envelope():
     with report(2, "envelope containment and 1e-2 convergence at N=1000"):
         start = time.monotonic()
         diffs: dict[tuple[int, int], Fraction] = {}
+        orders = (2, 4, 6, 8)
         for n in (10, 100, 1000):
-            for order in (2, 4, 6, 8):
-                value = moment_by_tridiagonal(STANDARD, n, order, scale=n)
+            values = moments_by_walk(STANDARD, n, orders, scale=n)
+            for order, value in zip(orders, values):
                 env = moment_envelope(n, order)
                 assert env.lower <= value <= env.upper
                 diffs[(n, order)] = abs(value - arcsine_moment(order))
@@ -98,10 +98,10 @@ def test_criterion_03_engine_equivalence_500_identities():
         identities = 0
         for _, seq in SEQUENCES:
             for n in range(0, 9):
-                for order in range(0, 11):
-                    for scale in (1, 2):
-                        assert moment_by_words(seq, n, order, scale=scale) == \
-                            moment_by_tridiagonal(seq, n, order, scale=scale)
+                for scale in (1, 2):
+                    by_walk = moments_by_walk(seq, n, range(0, 11), scale=scale)
+                    for order, value in enumerate(by_walk):
+                        assert moment_by_words(seq, n, order, scale=scale) == value
                         identities += 1
         assert identities >= 500
         assert time.monotonic() - start <= 60.0
@@ -109,11 +109,12 @@ def test_criterion_03_engine_equivalence_500_identities():
 
 def test_criterion_04_odd_moments_vanish():
     with report(4, "odd moments vanish exactly for N <= 20, order <= 11"):
+        odd = (1, 3, 5, 7, 9, 11)
         for _, seq in SEQUENCES:
             for n in range(0, 21):
-                for order in (1, 3, 5, 7, 9, 11):
+                assert moments_by_walk(seq, n, odd) == [0] * len(odd)
+                for order in odd:
                     assert moment_by_words(seq, n, order) == 0
-                    assert moment_by_tridiagonal(seq, n, order) == 0
                     # the no-shortcut walk power vanishes by cancellation
                     assert walk_returns(seq, n, order)[order] == 0
 
@@ -138,19 +139,17 @@ def test_criterion_06_q_zero_realizes_arcsine_exactly():
         for m in range(1, 6):
             for n in range(max(m, 1), 9):
                 assert canonical_scale(seq, n) == 1
-                value = moment_by_tridiagonal(seq, n, 2 * m, scale=1)
+                value = moments_by_walk(seq, n, [2 * m], scale=1)[0]
                 assert value == arcsine_moment(2 * m)
 
 
 def test_criterion_07_vacuum_law():
     with report(7, "vacuum moments (2m-1)!!/2^m and density normalization"):
-        for m in range(0, 9):
-            assert moment_by_tridiagonal(STANDARD, 0, 2 * m) == \
-                vacuum_gaussian_moment(2 * m)
-            assert moment_by_words(STANDARD, 0, 2 * m) == \
-                vacuum_gaussian_moment(2 * m)
+        vacuum = [vacuum_gaussian_moment(2 * m) for m in range(0, 9)]
+        assert moments_by_walk(STANDARD, 0, range(0, 17, 2)) == vacuum
+        assert [moment_by_words(STANDARD, 0, 2 * m) for m in range(0, 9)] == vacuum
         xs = np.linspace(-10.0, 10.0, 400_001)
-        dens = np.array([hermite_state_density(0, x) for x in xs])
+        dens = np.array(hermite_density_grid(0, xs.tolist()))
         assert abs(np.trapezoid(dens, xs) - 1.0) <= 1e-8
         assert abs(np.trapezoid(xs**2 * dens, xs) - 0.5) <= 1e-8
 
@@ -161,8 +160,8 @@ def test_criterion_08_spectral_fidelity_and_ks_decrease():
         for n in range(0, 11):
             measure = reconstruct_state_measure(STANDARD, n, n + 64, scale=1)
             assert abs(math.fsum(measure.weights) - 1.0) <= 1e-12
-            for order in range(0, 13):
-                exact = float(moment_by_tridiagonal(STANDARD, n, order))
+            for order, value in enumerate(moments_by_walk(STANDARD, n, range(0, 13))):
+                exact = float(value)
                 got = measure.moment(order)
                 if exact == 0.0:
                     # odd moments cancel exactly; relative error of a
@@ -207,8 +206,7 @@ def test_criterion_10_hankel_psd_for_all_sequences():
                 if n >= 1:
                     scales.append(canonical_scale(seq, n))
                 for s in scales:
-                    ms = moment_sequence(seq, n, 10, scale=s)
-                    assert validate_moments(ms.values)
+                    assert validate_moments(moments_by_walk(seq, n, range(11), s))
 
 
 def test_criterion_11_cli_determinism_and_selfcheck():

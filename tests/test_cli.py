@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -39,6 +40,36 @@ UNWRITABLE_CASES = [
     ["moments", "--N", "4", "--out", "."],
     ["converge", "--N", "1,10", "--plot", "missing/x.svg"],
     ["reconstruct", "--N", "2", "--K", "10", "--plot", "missing/r.svg"],
+]
+
+
+# a float-sized rational whose denominator has 4,351 digits
+LONG = "1." + "1" * 4250 + "e-100"
+# printed numbers past the interpreter's 4,300-digit string limit, each with
+# the name its error line gives
+DIGIT_LIMIT_CASES = [
+    (["moments", "--N", "0", "--orders", "3000"], "order 3000 moment"),
+    (["moments", "--jacobi", "q=1/3", "--N", "10", "--orders", "400"],
+     "order 400 moment"),
+    (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000"], "--scale"),
+    (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000",
+      "--out", "m.txt"], "--scale"),
+    (["moments", "--jacobi", "explicit:1e5000", "--N", "0", "--orders", "0"],
+     "weight omega_1"),
+    (["converge", "--N", "1,2", "--orders", "2", "--scale", "1e5000"],
+     "scaled_moment at N = 1, order 2"),
+    (["converge", "--jacobi", "q=1/3", "--N", "9400", "--orders", "0", "--format",
+      "json"], "scale at N = 9400, order 0"),
+    (["reconstruct", "--N", "2", "--K", "10", "--scale", LONG], "--scale"),
+    (["classical", "--A2", "1/3", "--orders", "9000"], "order 9000 moment"),
+    (["classical", "--A2", LONG, "--orders", "0", "--out", "c.txt"], "--A2"),
+]
+
+# JSON --jacobi descriptions with an empty list or a field the kind does not take
+BAD_JSON_JACOBI = [
+    '{"kind":"explicit","omega":[]}',
+    '{"kind":"standard","q":"1/2"}',
+    '{"kind":"q","q":"1/2","omega":["1"]}',
 ]
 
 
@@ -383,6 +414,27 @@ def test_table_formats_byte_exact(capsys, argv, fmt, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+# size and sha256 of the SVG each argv wrote before the plot size and the
+# label branches of svgplot.line_plot became constants
+PLOT_CASES = [
+    (["converge", "--N", "1,10,100", "--orders", "2,4"], 2611,
+     "acc0e99b5c6c02f37c97ce17d424bd821410b35db173d41bd9217d041845a177"),
+    (["reconstruct", "--N", "1", "--K", "8", "--density"], 36248,
+     "9fa367541d685def2d18cf77179b1f54c2e3a26075fd287bf20a7439da544596"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest", PLOT_CASES, ids=["converge", "reconstruct-density"]
+)
+def test_plot_svg_byte_exact(capsys, tmp_path, argv, size, digest):
+    plot = tmp_path / "plot.svg"
+    code, _, err = run_cli(capsys, argv + ["--plot", str(plot)])
+    svg = plot.read_bytes()
+    assert (code, err, len(svg)) == (0, "", size)
+    assert hashlib.sha256(svg).hexdigest() == digest
+
+
 def test_selfcheck_fast_passes(capsys):
     code, out, _ = run_cli(capsys, ["selfcheck", "--fast"])
     assert code == 0
@@ -431,6 +483,8 @@ def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
         [],
         *(args for args, _ in FLOAT_RANGE_CASES),
         *UNWRITABLE_CASES,
+        *(["moments", "--jacobi", j, "--N", "0", "--orders", "0"]
+          for j in BAD_JSON_JACOBI),
     ],
 )
 def test_invalid_configurations_exit_2(capsys, monkeypatch, tmp_path, args):
@@ -439,14 +493,28 @@ def test_invalid_configurations_exit_2(capsys, monkeypatch, tmp_path, args):
     assert code == 2
 
 
+def _one_line_error(capsys, tmp_path, args, code, name):
+    """Run args in the empty tmp_path: exit code, no stdout, one error line
+    naming name, and no file written; return the line."""
+    result, out, err = run_cli(capsys, args)
+    assert (result, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+    assert list(tmp_path.iterdir()) == []  # no --out or --plot file either
+    return err
+
+
 @pytest.mark.parametrize("args, name", FLOAT_RANGE_CASES)
 def test_float_range_error_is_one_line(capsys, monkeypatch, tmp_path, args, name):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, args)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert name in err
-    assert list(tmp_path.iterdir()) == []  # no --plot file either
+    _one_line_error(capsys, tmp_path, args, 2, name)
+
+
+@pytest.mark.parametrize("args, name", DIGIT_LIMIT_CASES)
+def test_digit_limit_error_is_one_line(capsys, monkeypatch, tmp_path, args, name):
+    monkeypatch.chdir(tmp_path)
+    err = _one_line_error(capsys, tmp_path, args, 3, name)
+    assert err.endswith(" has more than 4,300 digits, too many to print\n")
 
 
 @pytest.mark.parametrize("args", UNWRITABLE_CASES)
@@ -470,9 +538,11 @@ def test_unwritable_output_is_one_line(capsys, monkeypatch, tmp_path, args):
         ["moments", "--jacobi", "explicit:1", "--N", "2", "--orders", "26",
          "--engine", "words"],
         ["reconstruct", "--jacobi", "explicit:1,2,3", "--N", "0", "--K", "5000"],
+        *(args for args, _ in DIGIT_LIMIT_CASES),
     ],
 )
-def test_caps_exit_3(capsys, args):
+def test_caps_exit_3(capsys, monkeypatch, tmp_path, args):
+    monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, args)
     assert code == 3
     assert "error:" in err

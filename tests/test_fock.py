@@ -154,6 +154,13 @@ def test_sequence_json_rejects_malformed():
         JacobiSequence.from_json({"kind": "explicit", "omega": "1"})
     with pytest.raises(ValueError):
         JacobiSequence.from_json(["standard"])
+    # a field the kind does not take, and an empty list
+    with pytest.raises(ValueError, match="explicit list is empty"):
+        JacobiSequence.from_json({"kind": "explicit", "omega": []})
+    with pytest.raises(ValueError, match="kind 'standard' takes no field 'q'"):
+        JacobiSequence.from_json({"kind": "standard", "q": "1/2"})
+    with pytest.raises(ValueError, match="kind 'q' takes no field 'omega'"):
+        JacobiSequence.from_json({"kind": "q", "q": "1/2", "omega": ["1"]})
 
 
 def test_canonical_scale():

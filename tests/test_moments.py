@@ -16,14 +16,11 @@ from fockmoments.fock import (
 from fockmoments.laws import arcsine_moment, vacuum_gaussian_moment, validate_moments
 from fockmoments.moments import (
     CONVERGENCE_COLUMNS,
-    MomentSequence,
     convergence_csv,
     convergence_json,
     convergence_table,
-    moment_by_tridiagonal,
     moment_by_words,
     moment_envelope,
-    moment_sequence,
     moments_by_walk,
     walk_returns,
     word_matrix_element,
@@ -158,19 +155,17 @@ def test_word_engine_fails_like_word_definition():
 
 
 def test_moment_trivial_orders():
-    for engine in (moment_by_words, moment_by_tridiagonal):
-        assert engine(STANDARD, 5, 0) == 1
-        assert engine(STANDARD, 5, 1) == 0
-        assert engine(STANDARD, 5, 7) == 0
+    assert [moment_by_words(STANDARD, 5, k) for k in (0, 1, 7)] == [1, 0, 0]
+    assert moments_by_walk(STANDARD, 5, (0, 1, 7)) == [1, 0, 0]
 
 
 def test_engines_agree_exactly():
     for seq in SEQUENCES:
         for n in range(0, 5):
-            for order in range(0, 7):
-                for scale in (1, Fraction(5, 3)):
-                    assert moment_by_words(seq, n, order, scale=scale) == \
-                        moment_by_tridiagonal(seq, n, order, scale=scale)
+            for scale in (1, Fraction(5, 3)):
+                by_walk = moments_by_walk(seq, n, range(0, 7), scale=scale)
+                for order, value in enumerate(by_walk):
+                    assert moment_by_words(seq, n, order, scale=scale) == value
 
 
 def test_tridiagonal_against_float_matrix_power():
@@ -183,7 +178,7 @@ def test_tridiagonal_against_float_matrix_power():
             b = math.sqrt(float(seq.omega(k)) / 2.0)
             x[k - 1, k] = x[k, k - 1] = b
         power = np.linalg.matrix_power(x, order)
-        exact = float(moment_by_tridiagonal(seq, n, order))
+        exact = float(moments_by_walk(seq, n, [order])[0])
         assert abs(power[n, n] - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
@@ -228,7 +223,7 @@ def test_moments_by_walk_matches_single_orders():
     for seq in SEQUENCES:
         for scale in (1, Fraction(5, 3)):
             assert moments_by_walk(seq, 4, orders, scale) == [
-                moment_by_tridiagonal(seq, 4, k, scale) for k in orders
+                moments_by_walk(seq, 4, [k], scale)[0] for k in orders
             ]
 
 
@@ -304,48 +299,29 @@ def test_moment_input_validation():
     with pytest.raises(ValueError):
         moment_by_words(STANDARD, 2, -1)
     with pytest.raises(ValueError):
-        moment_by_tridiagonal(STANDARD, 2, -2)
+        moments_by_walk(STANDARD, 2, [-2])
     with pytest.raises(ValueError):
         moment_by_words(STANDARD, 2, 2, scale=0)
     with pytest.raises(ValueError):
-        moment_by_tridiagonal(STANDARD, 2, 2, scale=Fraction(-1, 2))
+        moments_by_walk(STANDARD, 2, [2], scale=Fraction(-1, 2))
     with pytest.raises(CapExceeded):
         moment_by_words(STANDARD, 2, 26)
 
 
 def test_vacuum_moments_match_gaussian():
-    for m in range(0, 9):
-        assert moment_by_tridiagonal(STANDARD, 0, 2 * m) == vacuum_gaussian_moment(2 * m)
+    assert moments_by_walk(STANDARD, 0, range(0, 17, 2)) == [
+        vacuum_gaussian_moment(2 * m) for m in range(0, 9)
+    ]
 
 
-def test_moment_sequence_construction():
-    ms = moment_sequence(STANDARD, 4, 6, scale=4)
-    assert ms.max_order == 6
-    assert ms.moment(0) == 1
-    assert ms.moment(4) == Fraction(123, 64)
-    assert ms.moment(3) == 0
-    assert ms.to_json()["moments"][4] == "123/64"
-    assert ms.to_json()["scale"] == "4"
+def test_moments_by_walk_over_an_order_range():
+    values = moments_by_walk(STANDARD, 4, range(7), scale=4)
+    assert len(values) == 7
+    assert values[0] == 1
+    assert values[4] == Fraction(123, 64)
+    assert values[3] == 0
     with pytest.raises(ValueError):
-        ms.moment(7)
-    with pytest.raises(ValueError):
-        moment_sequence(STANDARD, 4, -1)
-
-
-def test_moment_sequence_validates_invariants():
-    with pytest.raises(ValueError):
-        MomentSequence(
-            jacobi=STANDARD, state=0, scale=Fraction(1), values=(Fraction(2),)
-        )
-    with pytest.raises(ValueError):
-        MomentSequence(
-            jacobi=STANDARD,
-            state=0,
-            scale=Fraction(1),
-            values=(Fraction(1), Fraction(1, 3)),
-        )
-    with pytest.raises(ValueError):
-        MomentSequence(jacobi=STANDARD, state=0, scale=Fraction(1), values=())
+        walk_returns(STANDARD, 4, -1)
 
 
 def test_envelope_frozen_values():
@@ -361,10 +337,10 @@ def test_envelope_frozen_values():
 
 
 def test_envelope_contains_canonical_moments():
+    orders = (2, 4, 6, 8)
     for n in range(1, 13):
-        for order in (2, 4, 6, 8):
+        for order, value in zip(orders, moments_by_walk(STANDARD, n, orders, scale=n)):
             env = moment_envelope(n, order)
-            value = moment_by_tridiagonal(STANDARD, n, order, scale=n)
             assert env.lower <= value <= env.upper
 
 

@@ -1,5 +1,7 @@
+import ast
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,43 @@ def test_readme_shows_every_printing_command():
 def test_readme_example_output(capsys, argv, shown):
     assert main(argv) == 0
     assert capsys.readouterr().out == shown
+
+
+def _library_block():
+    """The code of the ``python`` block in README's Library section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```python\n(.*?)```", section, flags=re.S)[1]
+
+
+def _check_exact_comment(value, comment):
+    """Assert that value equals the exact value the comment opens with;
+    return False when it opens with none."""
+    envelope = re.match(r"lower (\d+/\d+), upper (\d+/\d+)", comment)
+    if envelope:
+        assert (value.lower, value.upper) == tuple(map(Fraction, envelope.groups()))
+        return True
+    literal = re.match(r"Fraction\(\d+, \d+\)|\[[\d/, ]+\]", comment)
+    if literal:
+        # p/q in a list is a rational, not a float division
+        source = re.sub(r"(\d+)/(\d+)", r"Fraction(\1, \2)", literal[0])
+        assert value == eval(source, {"Fraction": Fraction})
+        return True
+    return False
+
+
+def test_readme_library_example_values():
+    # run the block's statements in order in one namespace, and check each
+    # expression whose comment gives an exact value
+    block = _library_block()
+    lines = block.splitlines()
+    namespace = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+        comment = lines[node.lineno - 1].partition("#")[2].strip()
+        checked += _check_exact_comment(value, comment)
+    assert checked == 6

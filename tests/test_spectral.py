@@ -8,7 +8,7 @@ import scipy.special
 
 from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD
 from fockmoments.laws import arcsine_cdf
-from fockmoments.moments import moment_by_tridiagonal, moments_by_walk
+from fockmoments.moments import moments_by_walk
 from fockmoments.spectral import (
     DiscreteMeasure,
     EIGEN_DIM_CAP,
@@ -19,7 +19,6 @@ from fockmoments.spectral import (
     density_spectrum_sup,
     eigendecompose,
     hermite_density_grid,
-    hermite_state_density,
     ks_distance_to_arcsine,
     lossless_order,
     reconstruct_state_measure,
@@ -238,10 +237,10 @@ def test_lossless_order_boundary():
     n, dim = 3, 6
     assert lossless_order(n, dim) == 4
     measure = reconstruct_state_measure(STANDARD, n, dim)
-    for order in (0, 2, 4):
-        exact = float(moment_by_tridiagonal(STANDARD, n, order))
-        assert measure.moment(order) == pytest.approx(exact, rel=1e-12)
-    exact6 = float(moment_by_tridiagonal(STANDARD, n, 6))
+    exact = moments_by_walk(STANDARD, n, (0, 2, 4, 6))
+    for order, value in zip((0, 2, 4), exact):
+        assert measure.moment(order) == pytest.approx(float(value), rel=1e-12)
+    exact6 = float(exact[3])
     assert abs(measure.moment(6) - exact6) > 1e-6 * exact6
 
 
@@ -249,19 +248,17 @@ def test_reconstructed_moments_match_exact():
     for n in (0, 1, 4):
         dim = n + 40
         measure = reconstruct_state_measure(STANDARD, n, dim, scale=1)
-        for order in range(0, 13):
-            exact = float(moment_by_tridiagonal(STANDARD, n, order))
+        for order, exact in enumerate(moments_by_walk(STANDARD, n, range(0, 13))):
             assert measure.moment(order) == pytest.approx(
-                exact, rel=1e-10, abs=1e-10
+                float(exact), rel=1e-10, abs=1e-10
             )
 
 
 def test_reconstruct_q_sequence():
     seq = Q_HALF
     measure = reconstruct_state_measure(seq, 2, 40, scale=1)
-    for order in (2, 4, 6):
-        exact = float(moment_by_tridiagonal(seq, 2, order))
-        assert measure.moment(order) == pytest.approx(exact, rel=1e-10)
+    for order, exact in zip((2, 4, 6), moments_by_walk(seq, 2, (2, 4, 6))):
+        assert measure.moment(order) == pytest.approx(float(exact), rel=1e-10)
 
 
 def test_reconstructed_moments_match_exact_at_high_orders():
@@ -283,26 +280,25 @@ def test_reconstructed_moments_match_exact_at_high_orders():
 
 def test_hermite_state_density_values():
     # ground state: exp(-x^2)/sqrt(pi)
-    assert hermite_state_density(0, 0.0) == pytest.approx(
-        1.0 / math.sqrt(math.pi), rel=1e-14
-    )
-    for x in (-1.3, 0.2, 2.5):
-        assert hermite_state_density(0, x) == pytest.approx(
+    xs = (0.0, -1.3, 0.2, 2.5)
+    origin, *others = hermite_density_grid(0, xs)
+    assert origin == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
+    for x, value in zip(xs[1:], others):
+        assert value == pytest.approx(
             math.exp(-x * x) / math.sqrt(math.pi), rel=1e-13
         )
     # first excited state vanishes at the origin
-    assert hermite_state_density(1, 0.0) == pytest.approx(0.0, abs=1e-30)
+    assert hermite_density_grid(1, (0.0,)) == [pytest.approx(0.0, abs=1e-30)]
 
 
 def test_hermite_state_density_matches_scipy():
+    xs = (-2.1, -0.4, 0.0, 0.9, 3.3)
     for n in (1, 2, 3, 6):
         poly = scipy.special.hermite(n)
         norm = 2.0**n * math.gamma(n + 1) * math.sqrt(math.pi)
-        for x in (-2.1, -0.4, 0.0, 0.9, 3.3):
+        for x, value in zip(xs, hermite_density_grid(n, xs)):
             expected = poly(x) ** 2 * math.exp(-x * x) / norm
-            assert hermite_state_density(n, x) == pytest.approx(
-                expected, rel=1e-10, abs=1e-13
-            )
+            assert value == pytest.approx(expected, rel=1e-10, abs=1e-13)
 
 
 def test_hermite_state_density_normalization_and_variance():
@@ -332,7 +328,7 @@ def test_hermite_density_grid_matches_pointwise_bit_for_bit():
     for n in (0, 1, 2, 7, 60, 200):
         expected = [_pointwise_density(n, x) for x in xs]
         assert hermite_density_grid(n, xs) == expected
-        assert [hermite_state_density(n, x) for x in xs] == expected
+        assert [hermite_density_grid(n, (x,))[0] for x in xs] == expected
     assert hermite_density_grid(3, []) == []
     with pytest.raises(CapExceeded):
         hermite_density_grid(201, [0.0])
@@ -340,8 +336,8 @@ def test_hermite_density_grid_matches_pointwise_bit_for_bit():
 
 def test_hermite_state_density_cap():
     with pytest.raises(CapExceeded):
-        hermite_state_density(201, 0.0)
-    assert hermite_state_density(200, 0.1) >= 0.0
+        hermite_density_grid(201, (0.0,))
+    assert hermite_density_grid(200, (0.1,))[0] >= 0.0
 
 
 def test_density_cdf_monotone_and_total():
