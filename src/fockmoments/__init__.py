@@ -33,15 +33,14 @@ _HOME = {
             "validate_moments",
         ),
         "moments": (
-            "ConvergenceRow", "MomentEnvelope", "convergence_csv", "convergence_json",
-            "convergence_table", "moment_by_words", "moment_envelope",
-            "moments_by_walk", "walk_returns", "word_matrix_element",
+            "ConvergenceRow", "convergence_table", "moment_by_words",
+            "moment_envelope", "moments_by_walk", "walk_returns",
+            "word_matrix_element",
         ),
         "spectral": (
-            "DiscreteMeasure", "EIGEN_DIM_CAP", "Tridiagonal", "TridiagonalSpectrum",
-            "density_spectrum_sup", "eigendecompose", "hermite_density_grid",
-            "ks_distance_to_arcsine", "lossless_order", "reconstruct_state_measure",
-            "truncated_position_matrix",
+            "DiscreteMeasure", "EIGEN_DIM_CAP", "Tridiagonal", "density_spectrum_sup",
+            "eigendecompose", "hermite_density_grid", "ks_distance_to_arcsine",
+            "lossless_order", "reconstruct_state_measure", "truncated_position_matrix",
         ),
     }.items()
     for name in names

@@ -198,20 +198,24 @@ def _json_dumps(obj: object) -> str:
 
 def _emit_table(
     ns: argparse.Namespace,
-    meta: dict,
+    meta: dict | None,
     columns: Sequence[str],
     rows: Sequence[tuple],
     text_row: Callable[[tuple], str] | None = None,
 ) -> None:
     """Write rows as JSON (meta plus one object per row), as CSV under a
     header of the columns, or as text, one line per row: the cells joined
-    by spaces unless ``text_row`` formats the line."""
+    by spaces unless ``text_row`` formats the line.  Only JSON reads meta.
+    A None cell is null in JSON and blank in CSV."""
     if ns.format == "json":
         text = _json_dumps(
             {**meta, "rows": [dict(zip(columns, row)) for row in rows]}
         )
     elif ns.format == "csv":
-        text = "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows])
+        text = "".join(
+            ",".join("" if cell is None else str(cell) for cell in row) + "\n"
+            for row in [columns, *rows]
+        )
     else:
         text_row = text_row or (lambda row: " ".join(map(str, row)))
         text = "".join(text_row(row) + "\n" for row in rows)
@@ -233,12 +237,15 @@ def cmd_moments(ns: argparse.Namespace) -> int:
         moments = [moment_by_words(seq, state, k, scale=scale) for k in orders]
     else:
         moments = moments_by_walk(seq, state, orders, scale=scale)
-    meta = {
-        "jacobi": seq.to_json(),
-        "N": state,
-        "scale": _exact_str(scale, "--scale"),
-        "engine": ns.engine,
-    }
+    # only JSON prints the sequence and the scale
+    meta = None
+    if ns.format == "json":
+        meta = {
+            "jacobi": seq.to_json(),
+            "N": state,
+            "scale": _exact_str(scale, "--scale"),
+            "engine": ns.engine,
+        }
     rows = [
         (order, _exact_str(v, f"order {order} moment"))
         for order, v in zip(orders, moments)
@@ -255,7 +262,7 @@ def cmd_converge(ns: argparse.Namespace) -> int:
     _check_nonnegative(states, "--N")
     _check_nonnegative(orders, "--orders")
 
-    from .moments import convergence_csv, convergence_json, convergence_table
+    from .moments import convergence_table
 
     rows = convergence_table(seq, states, orders, scale=scale)
     # plot points before any output, so a difference past the float range
@@ -271,12 +278,21 @@ def cmd_converge(ns: argparse.Namespace) -> int:
             ]
             if pts:
                 series.append((f"order {order}", pts))
+    names = ("scaled_moment", "target", "abs_diff", "env_lo", "env_hi")
+    meta = None
     if ns.format == "json":
+        # a JSON row carries its own scale
         meta = {"jacobi": seq.to_json(), "scale": _exact_str(scale, "--scale")}
-        text = _json_dumps({**meta, "rows": convergence_json(rows)})
-    else:
-        text = convergence_csv(rows)
-    _emit(ns, text)
+        names = ("scale", *names)
+    cells = []
+    for r in rows:
+        at = f" at N = {r.state}, order {r.order}"
+        values = (getattr(r, name) for name in names)
+        cells.append((r.state, r.order, *(
+            None if v is None else _exact_str(v, name + at)
+            for name, v in zip(names, values)
+        )))
+    _emit_table(ns, meta, ("N", "order", *names), cells)
     if series:
         from .svgplot import line_plot
 
@@ -351,13 +367,14 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
             "K": dim,
             "scale": _exact_str(scale, "--scale"),
             "ks_to_arcsine": ks,
-            **measure.to_json(),
+            "locations": [x for x, _ in measure.atoms],
+            "weights": [w for _, w in measure.atoms],
         }
         if density_pts is not None:
             payload["density_grid"] = [[x, f] for x, f in density_pts]
         _emit(ns, _json_dumps(payload))
     elif ns.format == "csv":
-        _emit(ns, measure.to_csv())
+        _emit_table(ns, None, ("location", "weight"), measure.atoms)
         if density_pts is not None:
             dtext = "x,density\n" + "".join(
                 f"{x!r},{f!r}\n" for x, f in density_pts

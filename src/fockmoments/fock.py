@@ -82,6 +82,15 @@ def _exact_str(value: Fraction, name: str) -> str:
         ) from None
 
 
+def _shown(value: Fraction) -> str:
+    """``str(value)`` for an error message, or a note of its size when a
+    part has more digits than the interpreter converts to a string."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a number of more than {sys.get_int_max_str_digits():,} digits"
+
+
 def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
     """The q-integer [n]_q = 1 + q + ... + q^(n-1), exactly.
 
@@ -89,7 +98,7 @@ def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
     """
     qf = as_fraction(q)
     if not 0 <= qf <= 1:
-        raise ValueError(f"q must lie in [0, 1], got {qf}")
+        raise ValueError(f"q must lie in [0, 1], got {_shown(qf)}")
     if n < 0:
         raise ValueError(f"q-integer index must be >= 0, got {n}")
     if qf == 1:
@@ -125,7 +134,7 @@ class JacobiSequence:
             if self.q is None:
                 raise ValueError("q-deformed sequences need a deformation q")
             if not 0 <= self.q <= 1:
-                raise ValueError(f"q must lie in [0, 1], got {self.q}")
+                raise ValueError(f"q must lie in [0, 1], got {_shown(self.q)}")
             if self.omegas:
                 raise ValueError("q-deformed sequences take no explicit list")
         elif self.kind == "explicit":
@@ -134,7 +143,7 @@ class JacobiSequence:
             for i, w in enumerate(self.omegas):
                 if w <= 0:
                     raise ValueError(
-                        f"omega_{i + 1} must be positive, got {w}"
+                        f"omega_{i + 1} must be positive, got {_shown(w)}"
                     )
         else:
             raise ValueError(f"unknown Jacobi sequence kind: {self.kind!r}")

@@ -25,7 +25,6 @@ from .fock import (
     LadderWord,
     Letter,
     _check_word_cap,
-    _exact_str,
     as_fraction,
     canonical_scale,
     state_index,
@@ -188,17 +187,7 @@ def moments_by_walk(
     return [Fraction(0) if k % 2 else walk[k] / s ** (k // 2) for k in orders]
 
 
-@dataclass(frozen=True)
-class MomentEnvelope:
-    """Rational sandwich bounds for one canonically scaled even moment."""
-
-    state: int
-    order: int
-    lower: Fraction
-    upper: Fraction
-
-
-def moment_envelope(state: int, order: int) -> MomentEnvelope:
+def moment_envelope(state: int, order: int) -> tuple[Fraction, Fraction]:
     """Sandwich bounds for standard-oscillator moments at canonical scale.
 
     For the standard sequence at scale s = N the 2m-th moment lies in
@@ -209,7 +198,7 @@ def moment_envelope(state: int, order: int) -> MomentEnvelope:
     with M_2m the arcsine moment.  Both products have m factors, so both
     bounds approach M_2m at rate O(m^2 / N).  The lower product hits a
     zero factor once m exceeds N, which keeps it a valid (if slack)
-    bound.  Requires N >= 1 and an even order.
+    bound.  Returns (lower, upper); requires N >= 1 and an even order.
     """
     n = state_index(state)
     if n < 1:
@@ -220,12 +209,7 @@ def moment_envelope(state: int, order: int) -> MomentEnvelope:
     target = arcsine_moment(order)
     falling = math.prod(range(n - m + 1, n + 1))
     rising = math.prod(range(n + 1, n + m + 1))
-    return MomentEnvelope(
-        state=n,
-        order=order,
-        lower=target * Fraction(falling, n**m),
-        upper=target * Fraction(rising, n**m),
-    )
+    return target * Fraction(falling, n**m), target * Fraction(rising, n**m)
 
 
 @dataclass(frozen=True)
@@ -240,17 +224,6 @@ class ConvergenceRow:
     abs_diff: Fraction
     env_lo: Fraction | None
     env_hi: Fraction | None
-
-
-CONVERGENCE_COLUMNS = (
-    "N",
-    "order",
-    "scaled_moment",
-    "target",
-    "abs_diff",
-    "env_lo",
-    "env_hi",
-)
 
 
 def convergence_table(
@@ -288,8 +261,7 @@ def convergence_table(
                 and n >= 1
                 and s == canonical_scale(seq, n)
             ):
-                env = moment_envelope(n, order)
-                env_lo, env_hi = env.lower, env.upper
+                env_lo, env_hi = moment_envelope(n, order)
             rows.append(
                 ConvergenceRow(
                     state=n,
@@ -303,36 +275,3 @@ def convergence_table(
                 )
             )
     return rows
-
-
-def _exact_cells(row: ConvergenceRow, names: Sequence[str]) -> list[str | None]:
-    """The row's rationals under these field names as exact strings, None
-    for a missing bound."""
-    at = f" at N = {row.state}, order {row.order}"
-    values = (getattr(row, name) for name in names)
-    return [
-        None if v is None else _exact_str(v, name + at)
-        for name, v in zip(names, values)
-    ]
-
-
-def convergence_csv(rows: Sequence[ConvergenceRow]) -> str:
-    """Render a convergence table as CSV with exact rational cells.
-
-    Integers, rationals and blanks never need quoting.
-    """
-    lines = [",".join(CONVERGENCE_COLUMNS)]
-    for r in rows:
-        cells = _exact_cells(r, CONVERGENCE_COLUMNS[2:])
-        blanked = ("" if c is None else c for c in cells)
-        lines.append(",".join([str(r.state), str(r.order), *blanked]))
-    return "".join(line + "\n" for line in lines)
-
-
-def convergence_json(rows: Sequence[ConvergenceRow]) -> list[dict]:
-    """Convergence rows as JSON-ready dicts with exact rational strings."""
-    names = ("scale", *CONVERGENCE_COLUMNS[2:])
-    return [
-        {"N": r.state, "order": r.order, **dict(zip(names, _exact_cells(r, names)))}
-        for r in rows
-    ]

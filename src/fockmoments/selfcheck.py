@@ -107,15 +107,14 @@ def _suite_envelope(fast: bool) -> SuiteResult:
     checks = 0
     for n in range(1, max_n + 1):
         for order, value in zip(orders, moments_by_walk(seq, n, orders, scale=n)):
-            env = moment_envelope(n, order)
+            lower, upper = moment_envelope(n, order)
             checks += 1
-            if not env.lower <= value <= env.upper:
+            if not lower <= value <= upper:
                 return SuiteResult(
                     "envelope-containment",
                     False,
                     checks,
-                    f"N={n}, order={order}: {value} outside "
-                    f"[{env.lower}, {env.upper}]",
+                    f"N={n}, order={order}: {value} outside [{lower}, {upper}]",
                 )
     return SuiteResult("envelope-containment", True, checks)
 

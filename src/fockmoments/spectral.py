@@ -94,20 +94,6 @@ def truncated_position_matrix(seq: JacobiSequence, dim: int) -> Tridiagonal:
     return Tridiagonal(diag=(0.0,) * dim, offdiag=off)
 
 
-@dataclass(frozen=True)
-class TridiagonalSpectrum:
-    """Eigenvalues of a tridiagonal matrix with one eigenvector row.
-
-    squared_components[j] is the squared j-th entry of the tracked row of
-    the orthogonal eigenvector matrix; the squares sum to 1.
-    """
-
-    dimension: int
-    row: int
-    eigenvalues: tuple[float, ...]
-    squared_components: tuple[float, ...]
-
-
 def _free_zero(
     d: list[float],
     e: list[float],
@@ -315,13 +301,17 @@ def _golub_kahan(
     return values, squared
 
 
-def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
+def eigendecompose(
+    matrix: Tridiagonal, row: int
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Eigenvalues of a symmetric tridiagonal matrix with one squared
     eigenvector row.
 
-    Returns eigenvalues in ascending order and the squared entries of the
-    requested row of the eigenvector matrix.  The diagonal must be zero,
-    as every position matrix's is; any other diagonal raises ValueError.
+    Returns (eigenvalues, squared_components): the eigenvalues in
+    ascending order, and the squared entries of the requested row of the
+    eigenvector matrix at each of them, which sum to 1.  The diagonal
+    must be zero, as every position matrix's is; any other diagonal
+    raises ValueError.
     The half-size bidiagonal SVD of ``_golub_kahan`` deflates on the
     machine-epsilon test |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1| and
     gives each singular value at most ``_MAX_SWEEPS`` (50) implicit
@@ -351,9 +341,7 @@ def eigendecompose(matrix: Tridiagonal, row: int) -> TridiagonalSpectrum:
             f"eigenvector row lost orthonormality: squared components sum "
             f"to {total!r}"
         )
-    return TridiagonalSpectrum(
-        dimension=dim, row=row, eigenvalues=eigenvalues, squared_components=squared
-    )
+    return eigenvalues, squared
 
 
 @dataclass(frozen=True)
@@ -380,14 +368,6 @@ class DiscreteMeasure:
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
 
-    @property
-    def locations(self) -> tuple[float, ...]:
-        return tuple(x for x, _ in self.atoms)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.atoms)
-
     def moment(self, order: int) -> float:
         if order < 0:
             raise ValueError(f"moment order must be >= 0, got {order}")
@@ -396,17 +376,6 @@ class DiscreteMeasure:
     def cdf(self, x: float) -> float:
         """Right-continuous distribution function."""
         return math.fsum(w for loc, w in self.atoms if loc <= x)
-
-    def to_csv(self) -> str:
-        lines = ["location,weight"]
-        lines.extend(f"{x!r},{w!r}" for x, w in self.atoms)
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "locations": [x for x, _ in self.atoms],
-            "weights": [w for _, w in self.atoms],
-        }
 
 
 def lossless_order(state: int, dim: int) -> int:
@@ -444,9 +413,9 @@ def reconstruct_state_measure(
     root = math.sqrt(to_float(s, "scale"))
     if root == 0.0:
         raise ValueError("scale is too small for a float")
-    spectrum = eigendecompose(matrix, row=n)
+    eigenvalues, squared = eigendecompose(matrix, row=n)
     atoms: list[tuple[float, float]] = []
-    for lam, w in zip(spectrum.eigenvalues, spectrum.squared_components):
+    for lam, w in zip(eigenvalues, squared):
         x = lam / root
         if atoms and atoms[-1][0] == x:
             atoms[-1] = (x, atoms[-1][1] + w)

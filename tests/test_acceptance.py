@@ -83,8 +83,8 @@ def test_criterion_02_scaled_moments_converge_within_envelope():
         for n in (10, 100, 1000):
             values = moments_by_walk(STANDARD, n, orders, scale=n)
             for order, value in zip(orders, values):
-                env = moment_envelope(n, order)
-                assert env.lower <= value <= env.upper
+                lower, upper = moment_envelope(n, order)
+                assert lower <= value <= upper
                 diffs[(n, order)] = abs(value - arcsine_moment(order))
         for order in (2, 4, 6, 8):
             assert diffs[(1000, order)] <= Fraction(1, 100)
@@ -159,7 +159,7 @@ def test_criterion_08_spectral_fidelity_and_ks_decrease():
         start = time.monotonic()
         for n in range(0, 11):
             measure = reconstruct_state_measure(STANDARD, n, n + 64, scale=1)
-            assert abs(math.fsum(measure.weights) - 1.0) <= 1e-12
+            assert abs(math.fsum(w for _, w in measure.atoms) - 1.0) <= 1e-12
             for order, value in enumerate(moments_by_walk(STANDARD, n, range(0, 13))):
                 exact = float(value)
                 got = measure.moment(order)

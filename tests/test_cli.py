@@ -51,11 +51,12 @@ DIGIT_LIMIT_CASES = [
     (["moments", "--N", "0", "--orders", "3000"], "order 3000 moment"),
     (["moments", "--jacobi", "q=1/3", "--N", "10", "--orders", "400"],
      "order 400 moment"),
-    (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000"], "--scale"),
-    (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000",
-      "--out", "m.txt"], "--scale"),
-    (["moments", "--jacobi", "explicit:1e5000", "--N", "0", "--orders", "0"],
-     "weight omega_1"),
+    (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000", "--format",
+      "json"], "--scale"),
+    (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000", "--format",
+      "json", "--out", "m.txt"], "--scale"),
+    (["moments", "--jacobi", "explicit:1e5000", "--N", "0", "--orders", "0",
+      "--format", "json"], "weight omega_1"),
     (["converge", "--N", "1,2", "--orders", "2", "--scale", "1e5000"],
      "scaled_moment at N = 1, order 2"),
     (["converge", "--jacobi", "q=1/3", "--N", "9400", "--orders", "0", "--format",
@@ -63,6 +64,20 @@ DIGIT_LIMIT_CASES = [
     (["reconstruct", "--N", "2", "--K", "10", "--scale", LONG], "--scale"),
     (["classical", "--A2", "1/3", "--orders", "9000"], "order 9000 moment"),
     (["classical", "--A2", LONG, "--orders", "0", "--out", "c.txt"], "--A2"),
+    # text prints no scale, only the moment
+    (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000"],
+     "order 2 moment"),
+]
+
+# rejected --jacobi values past the digit limit, each with the name its
+# error line gives
+REJECTED_HUGE_CASES = [
+    (["moments", "--jacobi", "q=1e5000", "--N", "1", "--orders", "2"],
+     "q must lie in [0, 1]"),
+    (["moments", "--jacobi", "explicit:-1e5000", "--N", "1", "--orders", "2"],
+     "omega_1 must be positive"),
+    (["moments", "--jacobi", '{"kind":"q","q":"-1e5000"}', "--N", "1", "--orders",
+      "2"], "q must lie in [0, 1]"),
 ]
 
 # JSON --jacobi descriptions with an empty list or a field the kind does not take
@@ -396,6 +411,60 @@ CLASSICAL_JSON = """{
 }
 """
 
+# canonical scale on the standard sequence: envelope cells filled
+CONVERGE_ARGV = ["converge", "--N", "1", "--orders", "2"]
+CONVERGE_HEADER = "N,order,scaled_moment,target,abs_diff,env_lo,env_hi\n"
+CONVERGE_CSV = CONVERGE_HEADER + "1,2,3/2,1,1/2,1,2\n"
+CONVERGE_JSON_ARGV = ["converge", "--N", "4", "--orders", "4"]
+CONVERGE_JSON = """{
+  "jacobi": {
+    "kind": "standard"
+  },
+  "scale": "canonical",
+  "rows": [
+    {
+      "N": 4,
+      "order": 4,
+      "scale": "4",
+      "scaled_moment": "123/64",
+      "target": "3/2",
+      "abs_diff": "27/64",
+      "env_lo": "9/8",
+      "env_hi": "45/16"
+    }
+  ]
+}
+"""
+# no envelope off the standard sequence: blank in CSV, null in JSON
+CONVERGE_BLANK_ARGV = ["converge", "--jacobi", "q=1/2", "--N", "2", "--orders", "2",
+                       "--scale", "1"]
+CONVERGE_BLANK_CSV = CONVERGE_HEADER + "2,2,13/8,1,5/8,,\n"
+CONVERGE_BLANK_JSON = """{
+  "jacobi": {
+    "kind": "q",
+    "q": "1/2"
+  },
+  "scale": "1",
+  "rows": [
+    {
+      "N": 2,
+      "order": 2,
+      "scale": "1",
+      "scaled_moment": "13/8",
+      "target": "1",
+      "abs_diff": "5/8",
+      "env_lo": null,
+      "env_hi": null
+    }
+  ]
+}
+"""
+# text output prints neither the scale nor the weights, so neither needs
+# to be printable
+HUGE_SCALE_ARGV = ["moments", "--N", "2", "--orders", "0", "--scale", "1e5000"]
+HUGE_WEIGHT_ARGV = ["moments", "--jacobi", "explicit:1e5000", "--N", "0", "--orders",
+                    "0"]
+
 
 @pytest.mark.parametrize(
     "argv, fmt, expected",
@@ -405,9 +474,16 @@ CLASSICAL_JSON = """{
         (CLASSICAL_ARGV, "csv", CLASSICAL_CSV),
         (CLASSICAL_ARGV, "json", CLASSICAL_JSON),
         (MOMENTS_META_ARGV, "json", MOMENTS_META_JSON),
+        (CONVERGE_ARGV, "csv", CONVERGE_CSV),
+        (CONVERGE_JSON_ARGV, "json", CONVERGE_JSON),
+        (CONVERGE_BLANK_ARGV, "csv", CONVERGE_BLANK_CSV),
+        (CONVERGE_BLANK_ARGV, "json", CONVERGE_BLANK_JSON),
+        (HUGE_SCALE_ARGV, "text", "0 1\n"),
+        (HUGE_WEIGHT_ARGV, "text", "0 1\n"),
     ],
     ids=["moments-csv", "moments-json", "classical-csv", "classical-json",
-         "moments-json-meta"],
+         "moments-json-meta", "converge-csv", "converge-json", "converge-csv-blank",
+         "converge-json-null", "moments-text-huge-scale", "moments-text-huge-weight"],
 )
 def test_table_formats_byte_exact(capsys, argv, fmt, expected):
     code, out, err = run_cli(capsys, argv + ["--format", fmt])
@@ -433,6 +509,40 @@ def test_plot_svg_byte_exact(capsys, tmp_path, argv, size, digest):
     svg = plot.read_bytes()
     assert (code, err, len(svg)) == (0, "", size)
     assert hashlib.sha256(svg).hexdigest() == digest
+
+
+# size and sha256 of what each argv printed ("-") and wrote before the
+# reconstruct layouts moved from spectral into cli
+RECONSTRUCT_CASES = [
+    (["reconstruct", "--N", "3", "--K", "12", "--scale", "3"],
+     {"-": (555, "db1a6d6ab409cfcfedc773cd27e0b8802d4c65e3f0e1f5fb32e29636b9bc4fd9")}),
+    (["reconstruct", "--N", "1", "--K", "8", "--density", "--format", "csv"],
+     {"-": (10452, "e0655db6f606839bfe99e8a130eefa3b46de0bcc27eb8b40fca58c181451756f")}),
+    (["reconstruct", "--N", "1", "--K", "8", "--density", "--format", "csv",
+      "--out", "r.csv"],
+     {"-": (36, "d5455eeb734e74da09e437d1cd24fe6f2ef07478c406e621df7c11a5685e6baf"),
+      "r.csv": (332, "ae6cd9c2fa1d288d45d034b0c399be3bc1e79a483fcd8742051ff1655d0336fe"),
+      "r.csv.density.csv":
+          (10083, "8be210479c65cf8e9a109db3cde9f004a419a0c2b86af5bfa1be12d5b71bddcb")}),
+    (["reconstruct", "--N", "1", "--K", "8", "--density", "--format", "json"],
+     {"-": (17336, "bafb07f0c22a594df10932753ffb2b78c678aa82b6eed9d0ea23fee4022e2fd0")}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, outputs", RECONSTRUCT_CASES,
+    ids=["text", "csv-density", "csv-density-out", "json-density"],
+)
+def test_reconstruct_bytes_pinned(capsys, monkeypatch, tmp_path, argv, outputs):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    written["-"] = out.encode()
+    assert {
+        name: (len(data), hashlib.sha256(data).hexdigest())
+        for name, data in written.items()
+    } == outputs
 
 
 def test_selfcheck_fast_passes(capsys):
@@ -485,6 +595,7 @@ def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
         *UNWRITABLE_CASES,
         *(["moments", "--jacobi", j, "--N", "0", "--orders", "0"]
           for j in BAD_JSON_JACOBI),
+        *(args for args, _ in REJECTED_HUGE_CASES),
     ],
 )
 def test_invalid_configurations_exit_2(capsys, monkeypatch, tmp_path, args):
@@ -508,6 +619,13 @@ def _one_line_error(capsys, tmp_path, args, code, name):
 def test_float_range_error_is_one_line(capsys, monkeypatch, tmp_path, args, name):
     monkeypatch.chdir(tmp_path)
     _one_line_error(capsys, tmp_path, args, 2, name)
+
+
+@pytest.mark.parametrize("args, name", REJECTED_HUGE_CASES)
+def test_rejected_huge_value_is_one_line(capsys, monkeypatch, tmp_path, args, name):
+    monkeypatch.chdir(tmp_path)
+    err = _one_line_error(capsys, tmp_path, args, 2, name)
+    assert err.endswith(", got a number of more than 4,300 digits\n")
 
 
 @pytest.mark.parametrize("args, name", DIGIT_LIMIT_CASES)

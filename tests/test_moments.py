@@ -15,9 +15,6 @@ from fockmoments.fock import (
 )
 from fockmoments.laws import arcsine_moment, vacuum_gaussian_moment, validate_moments
 from fockmoments.moments import (
-    CONVERGENCE_COLUMNS,
-    convergence_csv,
-    convergence_json,
     convergence_table,
     moment_by_words,
     moment_envelope,
@@ -325,32 +322,28 @@ def test_moments_by_walk_over_an_order_range():
 
 
 def test_envelope_frozen_values():
-    env = moment_envelope(4, 4)
-    assert env.lower == Fraction(9, 8)
-    assert env.upper == Fraction(45, 16)
-    env2 = moment_envelope(1, 2)
-    assert (env2.lower, env2.upper) == (Fraction(1), Fraction(2))
+    assert moment_envelope(4, 4) == (Fraction(9, 8), Fraction(45, 16))
+    assert moment_envelope(1, 2) == (Fraction(1), Fraction(2))
     # once m exceeds N the falling product hits zero
-    assert moment_envelope(1, 4).lower == 0
-    assert moment_envelope(10, 0).lower == 1
-    assert moment_envelope(10, 0).upper == 1
+    assert moment_envelope(1, 4)[0] == 0
+    assert moment_envelope(10, 0) == (1, 1)
 
 
 def test_envelope_contains_canonical_moments():
     orders = (2, 4, 6, 8)
     for n in range(1, 13):
         for order, value in zip(orders, moments_by_walk(STANDARD, n, orders, scale=n)):
-            env = moment_envelope(n, order)
-            assert env.lower <= value <= env.upper
+            lower, upper = moment_envelope(n, order)
+            assert lower <= value <= upper
 
 
 def test_envelope_tightens_like_one_over_n():
     target = arcsine_moment(4)
     widths = []
     for n in (10, 100, 1000):
-        env = moment_envelope(n, 4)
-        assert env.lower <= target <= env.upper
-        widths.append(env.upper - env.lower)
+        lower, upper = moment_envelope(n, 4)
+        assert lower <= target <= upper
+        widths.append(upper - lower)
     assert widths[0] > 10 * widths[1] > 100 * widths[2] / 10
 
 
@@ -393,35 +386,3 @@ def test_convergence_table_validation():
     with pytest.raises(ValueError):
         convergence_table(STANDARD, [2], [2], scale=0)
 
-
-def test_convergence_csv_golden():
-    rows = convergence_table(STANDARD, [1], [2], scale="canonical")
-    expected = (
-        "N,order,scaled_moment,target,abs_diff,env_lo,env_hi\n"
-        "1,2,3/2,1,1/2,1,2\n"
-    )
-    assert convergence_csv(rows) == expected
-    assert ",".join(CONVERGENCE_COLUMNS) == expected.splitlines()[0]
-
-
-def test_convergence_csv_blank_envelope_cells():
-    rows = convergence_table(Q_HALF, [2], [2], scale=1)
-    line = convergence_csv(rows).splitlines()[1]
-    assert line.endswith(",,")
-
-
-def test_convergence_json_fields():
-    rows = convergence_table(STANDARD, [4], [4], scale="canonical")
-    payload = convergence_json(rows)
-    assert payload == [
-        {
-            "N": 4,
-            "order": 4,
-            "scale": "4",
-            "scaled_moment": "123/64",
-            "target": "3/2",
-            "abs_diff": "27/64",
-            "env_lo": "9/8",
-            "env_hi": "45/16",
-        }
-    ]

@@ -51,13 +51,9 @@ def _library_block():
 def _check_exact_comment(value, comment):
     """Assert that value equals the exact value the comment opens with;
     return False when it opens with none."""
-    envelope = re.match(r"lower (\d+/\d+), upper (\d+/\d+)", comment)
-    if envelope:
-        assert (value.lower, value.upper) == tuple(map(Fraction, envelope.groups()))
-        return True
-    literal = re.match(r"Fraction\(\d+, \d+\)|\[[\d/, ]+\]", comment)
+    literal = re.match(r"Fraction\(\d+, \d+\)|\[[\d/, ]+\]|\([\d/, ]+\)", comment)
     if literal:
-        # p/q in a list is a rational, not a float division
+        # p/q in a list or a pair is a rational, not a float division
         source = re.sub(r"(\d+)/(\d+)", r"Fraction(\1, \2)", literal[0])
         assert value == eval(source, {"Fraction": Fraction})
         return True
