@@ -459,7 +459,10 @@ def cmd_classical(ns: argparse.Namespace) -> int:
         quad = classical_moment_quadrature(amplitude, order, panels=panels)
         diff = abs(to_float(exact, f"order {order} moment") - quad)
         rows.append((order, _exact_str(exact, f"order {order} moment"), quad, diff))
-    meta = {"A2": _exact_str(a2, "--A2"), "panels": panels}
+    # only JSON prints --A2
+    meta = None
+    if ns.format == "json":
+        meta = {"A2": _exact_str(a2, "--A2"), "panels": panels}
     columns = ("order", "exact", "quadrature", "abs_diff")
     _emit_table(ns, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
     return 0

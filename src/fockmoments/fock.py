@@ -91,6 +91,14 @@ def _shown(value: Fraction) -> str:
         return f"a number of more than {sys.get_int_max_str_digits():,} digits"
 
 
+def _as_positive(value: Union[int, str, Fraction], name: str) -> Fraction:
+    """``as_fraction(value)``; ValueError naming it when it is not positive."""
+    v = as_fraction(value)
+    if v <= 0:
+        raise ValueError(f"{name} must be positive, got {_shown(v)}")
+    return v
+
+
 def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
     """The q-integer [n]_q = 1 + q + ... + q^(n-1), exactly.
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .fock import as_fraction
+from .fock import _as_positive, as_fraction
 
 SUPPORT_RADIUS = math.sqrt(2.0)
 
@@ -69,9 +69,7 @@ def classical_moment(
     Takes the squared amplitude A^2 so the even moments
     (A^2)^m * C(2m, m) / 4^m stay rational; odd moments vanish.
     """
-    a2 = as_fraction(amplitude_squared)
-    if a2 <= 0:
-        raise ValueError(f"squared amplitude must be positive, got {a2}")
+    a2 = _as_positive(amplitude_squared, "squared amplitude")
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
     if order % 2:

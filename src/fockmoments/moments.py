@@ -16,16 +16,15 @@ around the arcsine moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .fock import (
     JacobiSequence,
     LadderWord,
     Letter,
+    _as_positive,
     _check_word_cap,
-    as_fraction,
     canonical_scale,
     state_index,
 )
@@ -85,9 +84,7 @@ def moment_by_words(
     level, so the sum stays independent of ``walk_returns``.
     """
     n = state_index(state)
-    s = as_fraction(scale)
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    s = _as_positive(scale, "scale")
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
     if order == 0:
@@ -178,9 +175,7 @@ def moments_by_walk(
     Odd orders short-circuit to 0, so the pass runs only to the largest
     even order and reads no weight that the word engine would not.
     """
-    s = as_fraction(scale)
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    s = _as_positive(scale, "scale")
     if any(k < 0 for k in orders):
         raise ValueError(f"moment order must be >= 0, got {min(orders)}")
     walk = walk_returns(seq, state, max((k for k in orders if k % 2 == 0), default=0))
@@ -212,8 +207,7 @@ def moment_envelope(state: int, order: int) -> tuple[Fraction, Fraction]:
     return target * Fraction(falling, n**m), target * Fraction(rising, n**m)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One (state, order) entry of a convergence table."""
 
     state: int
@@ -244,9 +238,7 @@ def convergence_table(
     if isinstance(scale, str) and scale.strip() == "canonical":
         fixed = None
     else:
-        fixed = as_fraction(scale)
-        if fixed <= 0:
-            raise ValueError(f"scale must be positive, got {fixed}")
+        fixed = _as_positive(scale, "scale")
     rows = []
     order_list = sorted(set(int(x) for x in orders))
     for n in sorted(set(int(x) for x in states)):

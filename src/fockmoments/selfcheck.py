@@ -1,16 +1,19 @@
 """Built-in consistency suites backing the ``selfcheck`` CLI command.
 
 Each suite recomputes a family of results by two routes that must agree,
-or checks a proved structural property, and reports the first
-counterexample it finds.
+or checks a proved structural property.  A suite is a generator taking
+``fast`` that yields one verdict per check: None when the check holds,
+or the counterexample as a string, built only when the check fails.
+``run_selfcheck`` counts each suite's verdicts and stops the suite at its
+first counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator, NamedTuple
 
 from .fock import JacobiSequence, LadderWord, Letter, canonical_scale
 from .laws import validate_moments
@@ -28,8 +31,7 @@ from .spectral import density_spectrum_sup
 DENSITY_SPECTRUM_TOL = 5e-3
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     checks: int
@@ -64,7 +66,7 @@ def _standard_closed_form(n: int, order: int) -> Fraction:
     return Fraction(math.perm(2 * m, m) * total, 4**m)
 
 
-def _suite_engines(fast: bool) -> SuiteResult:
+def _suite_engines(fast: bool) -> Iterator[str | None]:
     """Word-sum, level-walk and standard closed-form moments agree identically.
 
     Each N also gets an explicit list exactly N + max_order/2 long, the
@@ -78,7 +80,6 @@ def _suite_engines(fast: bool) -> SuiteResult:
     for n in range(max_n + 1):
         weights = [Fraction(2 * k + 1, k % 3 + 2) for k in range(n + max_order // 2)]
         cases.append(("minimal explicit", JacobiSequence.explicit(weights), n))
-    checks = 0
     for label, seq, n in cases:
         for s in scales:
             walk = moments_by_walk(seq, n, orders, scale=s)
@@ -87,39 +88,26 @@ def _suite_engines(fast: bool) -> SuiteResult:
                 b = c = walk[order]
                 if label == "standard":
                     c = _standard_closed_form(n, order) / s ** (order // 2)
-                checks += 1
-                if not a == b == c:
-                    return SuiteResult(
-                        "engine-equivalence",
-                        False,
-                        checks,
-                        f"{label}, N={n}, order={order}, s={s}: "
-                        f"words {a}, walk {b}, closed form {c}",
-                    )
-    return SuiteResult("engine-equivalence", True, checks)
+                yield None if a == b == c else (
+                    f"{label}, N={n}, order={order}, s={s}: "
+                    f"words {a}, walk {b}, closed form {c}"
+                )
 
 
-def _suite_envelope(fast: bool) -> SuiteResult:
+def _suite_envelope(fast: bool) -> Iterator[str | None]:
     """Canonically scaled standard moments sit inside their envelopes."""
     seq = JacobiSequence.standard()
     max_n = 8 if fast else 16
     orders = (2, 4) if fast else (2, 4, 6, 8)
-    checks = 0
     for n in range(1, max_n + 1):
         for order, value in zip(orders, moments_by_walk(seq, n, orders, scale=n)):
             lower, upper = moment_envelope(n, order)
-            checks += 1
-            if not lower <= value <= upper:
-                return SuiteResult(
-                    "envelope-containment",
-                    False,
-                    checks,
-                    f"N={n}, order={order}: {value} outside [{lower}, {upper}]",
-                )
-    return SuiteResult("envelope-containment", True, checks)
+            yield None if lower <= value <= upper else (
+                f"N={n}, order={order}: {value} outside [{lower}, {upper}]"
+            )
 
 
-def _suite_odd(fast: bool) -> SuiteResult:
+def _suite_odd(fast: bool) -> Iterator[str | None]:
     """Odd diagonal walk powers and odd word sums vanish exactly.
 
     Uses walk_returns, which takes no parity shortcut, and sums matrix
@@ -127,19 +115,13 @@ def _suite_odd(fast: bool) -> SuiteResult:
     """
     max_n = 4 if fast else 8
     max_order = 5 if fast else 9
-    checks = 0
     for label, seq in _sequences():
         for n in range(max_n + 1):
             walk = walk_returns(seq, n, max_order)
             for order in range(1, max_order + 1, 2):
-                checks += 1
-                if walk[order] != 0:
-                    return SuiteResult(
-                        "odd-vanishing",
-                        False,
-                        checks,
-                        f"{label}, N={n}, order={order}: walk power {walk[order]}",
-                    )
+                yield None if walk[order] == 0 else (
+                    f"{label}, N={n}, order={order}: walk power {walk[order]}"
+                )
     # every word of odd length is orthogonal to its starting state
     lengths = (1, 3) if fast else (1, 3, 5)
     for label, seq in _sequences():
@@ -149,23 +131,16 @@ def _suite_odd(fast: bool) -> SuiteResult:
                     (Letter.ANNIHILATE, Letter.CREATE), repeat=length
                 ):
                     element = word_matrix_element(seq, n, LadderWord(bits))
-                    checks += 1
-                    if element != 0:
-                        return SuiteResult(
-                            "odd-vanishing",
-                            False,
-                            checks,
-                            f"{label}, N={n}, word "
-                            f"{LadderWord(bits).to_string()}: element {element}",
-                        )
-    return SuiteResult("odd-vanishing", True, checks)
+                    yield None if element == 0 else (
+                        f"{label}, N={n}, word "
+                        f"{LadderWord(bits).to_string()}: element {element}"
+                    )
 
 
-def _suite_hankel(fast: bool) -> SuiteResult:
+def _suite_hankel(fast: bool) -> Iterator[str | None]:
     """Every produced moment sequence is positive semidefinite."""
     max_n = 3 if fast else 5
     max_order = 6 if fast else 8
-    checks = 0
     for label, seq in _sequences():
         for n in range(max_n + 1):
             scales = [Fraction(1)]
@@ -173,48 +148,47 @@ def _suite_hankel(fast: bool) -> SuiteResult:
                 scales.append(canonical_scale(seq, n))
             for s in scales:
                 values = moments_by_walk(seq, n, range(max_order + 1), scale=s)
-                checks += 1
-                if not validate_moments(values):
-                    return SuiteResult(
-                        "hankel-psd",
-                        False,
-                        checks,
-                        f"{label}, N={n}, s={s}: Hankel matrix not PSD",
-                    )
-    return SuiteResult("hankel-psd", True, checks)
+                yield None if validate_moments(values) else (
+                    f"{label}, N={n}, s={s}: Hankel matrix not PSD"
+                )
 
 
-def _suite_density_spectrum(fast: bool) -> SuiteResult:
+def _suite_density_spectrum(fast: bool) -> Iterator[str | None]:
     """Spectral reconstruction matches the integrated state density."""
     cases = ((0, 96, 8000), (2, 96, 8000)) if fast else (
         (0, 128, 20000),
         (2, 128, 20000),
         (5, 128, 20000),
     )
-    checks = 0
     for n, extra, panels in cases:
         sup = density_spectrum_sup(n, n + extra, panels=panels)
-        checks += 1
-        if sup > DENSITY_SPECTRUM_TOL:
-            return SuiteResult(
-                "density-spectrum",
-                False,
-                checks,
-                f"N={n}, K={n + extra}: sup CDF distance {sup:.3e} > "
-                f"{DENSITY_SPECTRUM_TOL:.0e}",
-            )
-    return SuiteResult("density-spectrum", True, checks)
+        yield None if not sup > DENSITY_SPECTRUM_TOL else (
+            f"N={n}, K={n + extra}: sup CDF distance {sup:.3e} > "
+            f"{DENSITY_SPECTRUM_TOL:.0e}"
+        )
 
 
 _SUITES = (
-    _suite_engines,
-    _suite_envelope,
-    _suite_odd,
-    _suite_hankel,
-    _suite_density_spectrum,
+    ("engine-equivalence", _suite_engines),
+    ("envelope-containment", _suite_envelope),
+    ("odd-vanishing", _suite_odd),
+    ("hankel-psd", _suite_hankel),
+    ("density-spectrum", _suite_density_spectrum),
 )
+
+
+def _run_suite(
+    name: str, suite: Callable[[bool], Iterator[str | None]], fast: bool
+) -> SuiteResult:
+    """Count the suite's verdicts, stopping at its first counterexample."""
+    checks = 0
+    for verdict in suite(fast):
+        checks += 1
+        if verdict is not None:
+            return SuiteResult(name, False, checks, verdict)
+    return SuiteResult(name, True, checks)
 
 
 def run_selfcheck(fast: bool = False) -> list[SuiteResult]:
     """Run all suites and return their results in a fixed order."""
-    return [suite(fast) for suite in _SUITES]
+    return [_run_suite(name, suite, fast) for name, suite in _SUITES]

@@ -31,7 +31,7 @@ from .fock import (
     EigensolverFailure,
     JacobiSequence,
     TruncationTooSmall,
-    as_fraction,
+    _as_positive,
     state_index,
     to_float,
 )
@@ -402,9 +402,7 @@ def reconstruct_state_measure(
     above the state survives truncation.
     """
     n = state_index(state)
-    s = as_fraction(scale)
-    if s <= 0:
-        raise ValueError(f"scale must be positive, got {s}")
+    s = _as_positive(scale, "scale")
     if dim < n + 2:
         raise TruncationTooSmall(
             f"truncation dimension {dim} is below state + 2 = {n + 2}"

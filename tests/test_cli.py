@@ -63,7 +63,8 @@ DIGIT_LIMIT_CASES = [
       "json"], "scale at N = 9400, order 0"),
     (["reconstruct", "--N", "2", "--K", "10", "--scale", LONG], "--scale"),
     (["classical", "--A2", "1/3", "--orders", "9000"], "order 9000 moment"),
-    (["classical", "--A2", LONG, "--orders", "0", "--out", "c.txt"], "--A2"),
+    (["classical", "--A2", LONG, "--orders", "0", "--format", "json", "--out",
+      "c.txt"], "--A2"),
     # text prints no scale, only the moment
     (["moments", "--N", "2", "--orders", "2", "--scale", "1e100000"],
      "order 2 moment"),
@@ -460,10 +461,11 @@ CONVERGE_BLANK_JSON = """{
 }
 """
 # text output prints neither the scale nor the weights, so neither needs
-# to be printable
+# to be printable; text and CSV print no --A2 either
 HUGE_SCALE_ARGV = ["moments", "--N", "2", "--orders", "0", "--scale", "1e5000"]
 HUGE_WEIGHT_ARGV = ["moments", "--jacobi", "explicit:1e5000", "--N", "0", "--orders",
                     "0"]
+HUGE_A2_ARGV = ["classical", "--A2", LONG, "--orders", "0"]
 
 
 @pytest.mark.parametrize(
@@ -480,10 +482,13 @@ HUGE_WEIGHT_ARGV = ["moments", "--jacobi", "explicit:1e5000", "--N", "0", "--ord
         (CONVERGE_BLANK_ARGV, "json", CONVERGE_BLANK_JSON),
         (HUGE_SCALE_ARGV, "text", "0 1\n"),
         (HUGE_WEIGHT_ARGV, "text", "0 1\n"),
+        (HUGE_A2_ARGV, "text", "0 1 1.0 0.000e+00\n"),
+        (HUGE_A2_ARGV, "csv", "order,exact,quadrature,abs_diff\n0,1,1.0,0.0\n"),
     ],
     ids=["moments-csv", "moments-json", "classical-csv", "classical-json",
          "moments-json-meta", "converge-csv", "converge-json", "converge-csv-blank",
-         "converge-json-null", "moments-text-huge-scale", "moments-text-huge-weight"],
+         "converge-json-null", "moments-text-huge-scale", "moments-text-huge-weight",
+         "classical-text-huge-A2", "classical-csv-huge-A2"],
 )
 def test_table_formats_byte_exact(capsys, argv, fmt, expected):
     code, out, err = run_cli(capsys, argv + ["--format", fmt])
@@ -558,14 +563,42 @@ def test_selfcheck_fast_passes(capsys):
     )
 
 
+def test_selfcheck_full_passes(capsys):
+    code, out, _ = run_cli(capsys, ["selfcheck"])
+    assert code == 0
+    assert out == (
+        "ok engine-equivalence (648 checks)\n"
+        "ok envelope-containment (64 checks)\n"
+        "ok odd-vanishing (1275 checks)\n"
+        "ok hankel-psd (42 checks)\n"
+        "ok density-spectrum (3 checks)\n"
+        "5/5 suites passed\n"
+    )
+
+
+def test_selfcheck_runner_stops_at_first_counterexample(monkeypatch):
+    import fockmoments.selfcheck as selfcheck
+
+    seen = []
+
+    def suite(fast):
+        for verdict in (None, None, "bad", None):
+            seen.append(verdict)
+            yield verdict
+
+    monkeypatch.setattr(selfcheck, "_SUITES", (("probe", suite),))
+    assert selfcheck.run_selfcheck() == [selfcheck.SuiteResult("probe", False, 3, "bad")]
+    assert seen == [None, None, "bad"]
+
+
 def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
     import fockmoments.selfcheck as selfcheck
 
     def failing(fast):
-        return selfcheck.SuiteResult("envelope-containment", False, 0, "injected")
+        yield "injected"
 
     suites = list(selfcheck._SUITES)
-    suites[1] = failing
+    suites[1] = ("envelope-containment", failing)
     monkeypatch.setattr(selfcheck, "_SUITES", tuple(suites))
     code, out, _ = run_cli(capsys, ["selfcheck", "--fast"])
     assert code == 1

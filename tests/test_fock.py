@@ -18,6 +18,34 @@ from fockmoments.fock import (
     q_integer,
     state_index,
 )
+from fockmoments.laws import classical_moment
+from fockmoments.moments import convergence_table, moment_by_words, moments_by_walk
+from fockmoments.spectral import reconstruct_state_measure
+
+# a negative rational past the interpreter's 4,300-digit string limit
+HUGE_NEGATIVE = Fraction(-10**5000)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: moment_by_words(STANDARD, 2, 2, scale=v), "scale"),
+        (lambda v: moments_by_walk(STANDARD, 2, [2], scale=v), "scale"),
+        (lambda v: convergence_table(STANDARD, [1], [2], scale=v), "scale"),
+        (lambda v: reconstruct_state_measure(STANDARD, 2, 10, scale=v), "scale"),
+        (lambda v: classical_moment(v, 2), "squared amplitude"),
+    ],
+    ids=["moment_by_words", "moments_by_walk", "convergence_table",
+         "reconstruct_state_measure", "classical_moment"],
+)
+def test_nonpositive_value_error_names_a_long_number(call, name):
+    with pytest.raises(ValueError) as info:
+        call(HUGE_NEGATIVE)
+    assert str(info.value) == (
+        f"{name} must be positive, got a number of more than 4,300 digits"
+    )
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got -3/2$"):
+        call(Fraction(-3, 2))
 
 
 def test_as_fraction_accepts_exact_forms():
