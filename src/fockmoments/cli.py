@@ -13,7 +13,8 @@ the function parses and checks its own arguments before any work.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration,
 validation error or an ``--out`` or ``--plot`` path that cannot be
-written, 3 computational cap exceeded or eigensolver failure.  A
+written, 3 computational cap exceeded, a ``reconstruct`` truncation below
+K = N + 2, or eigensolver failure.  A
 ``--plot`` file is written last, so when it fails the table has already
 been written.  Output is a pure function of the arguments; reruns are
 byte-identical.
@@ -104,18 +105,22 @@ def _check_nonnegative(values: Sequence[int], flag: str) -> None:
             raise ConfigError(f"{flag} values must be >= 0, got {value}")
 
 
-def _parse_scale(text: str) -> Fraction | str:
-    """A positive rational, or ``"canonical"``."""
+def _parse_positive(text: str, flag: str) -> Fraction:
     t = text.strip()
-    if t == "canonical":
-        return t
     try:
         value = as_fraction(t)
     except ValueError as exc:
-        raise ConfigError(f"--scale: {exc}") from exc
+        raise ConfigError(f"{flag}: {exc}") from exc
     if value <= 0:
-        raise ConfigError(f"--scale must be positive, got {t}")
+        raise ConfigError(f"{flag} must be positive, got {t}")
     return value
+
+
+def _parse_scale(text: str) -> Fraction | str:
+    """A positive rational, or ``"canonical"``."""
+    if text.strip() == "canonical":
+        return "canonical"
+    return _parse_positive(text, "--scale")
 
 
 def _resolve_scale(scale: Fraction | str, seq: JacobiSequence, state: int) -> Fraction:
@@ -347,10 +352,11 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     if ns.density:
         _check_density_cap(state)  # no eigensolve for a density over the cap
     measure = reconstruct_state_measure(seq, state, dim, scale=scale)
-    if lossless_order(state, dim) <= 2:
+    lossless = lossless_order(state, dim)
+    if lossless <= 2:
         print(
             f"warning: K = {dim} reproduces moments of N = {state} only "
-            f"up to order {lossless_order(state, dim)}",
+            f"up to order {lossless}",
             file=sys.stderr,
         )
     ks = ks_distance_to_arcsine(measure)
@@ -440,12 +446,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
 
 
 def cmd_classical(ns: argparse.Namespace) -> int:
-    try:
-        a2 = as_fraction(ns.A2)
-    except ValueError as exc:
-        raise ConfigError(f"--A2: {exc}") from exc
-    if a2 <= 0:
-        raise ConfigError(f"--A2 must be positive, got {ns.A2}")
+    a2 = _parse_positive(ns.A2, "--A2")
     orders = _parse_int_list(ns.orders, "--orders")
     panels = _parse_single_int(ns.panels, "--panels")
     _check_nonnegative(orders, "--orders")

@@ -248,13 +248,20 @@ def canonical_scale(seq: JacobiSequence, state: int) -> Fraction:
     return seq.omega(n)
 
 
+def _index(value: int, name: str) -> int:
+    """``value`` when it is an int, not a bool, and at least 0; ValueError
+    naming it otherwise.  The one rule for a number state and a moment
+    order."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def state_index(state: int) -> int:
     """Validate a number-state level: a non-negative int, not a bool."""
-    if not isinstance(state, int) or isinstance(state, bool):
-        raise ValueError(f"state must be an int, got {state!r}")
-    if state < 0:
-        raise ValueError(f"number state index must be >= 0, got {state}")
-    return state
+    return _index(state, "number state index")
 
 
 class Letter(IntEnum):

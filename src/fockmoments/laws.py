@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .fock import _as_positive, as_fraction
+from .fock import _as_positive, _index, as_fraction
 
 SUPPORT_RADIUS = math.sqrt(2.0)
 
@@ -22,8 +22,7 @@ def arcsine_moment(order: int) -> Fraction:
 
     Odd moments vanish; the 2m-th moment is C(2m, m) / 2^m.
     """
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
+    _index(order, "moment order")
     if order % 2:
         return Fraction(0)
     m = order // 2
@@ -53,8 +52,7 @@ def vacuum_gaussian_moment(order: int) -> Fraction:
     This is the vacuum position distribution of the standard oscillator:
     odd moments vanish and the 2m-th moment is (2m - 1)!! / 2^m.
     """
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
+    _index(order, "moment order")
     if order % 2:
         return Fraction(0)
     m = order // 2
@@ -70,8 +68,7 @@ def classical_moment(
     (A^2)^m * C(2m, m) / 4^m stay rational; odd moments vanish.
     """
     a2 = _as_positive(amplitude_squared, "squared amplitude")
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
+    _index(order, "moment order")
     if order % 2:
         return Fraction(0)
     m = order // 2
@@ -89,8 +86,7 @@ def classical_moment_quadrature(
     """
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
+    _index(order, "moment order")
     if panels < 16:
         raise ValueError(f"need at least 16 panels, got {panels}")
     total = 0.0

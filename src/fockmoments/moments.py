@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 from .fock import (
     JacobiSequence,
@@ -25,6 +25,7 @@ from .fock import (
     Letter,
     _as_positive,
     _check_word_cap,
+    _index,
     canonical_scale,
     state_index,
 )
@@ -85,8 +86,7 @@ def moment_by_words(
     """
     n = state_index(state)
     s = _as_positive(scale, "scale")
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
+    _index(order, "moment order")
     if order == 0:
         return Fraction(1)
     if order % 2:
@@ -142,8 +142,7 @@ def walk_returns(
     entries come out 0 by computed cancellation, so callers can verify it.
     """
     n = state_index(state)
-    if max_order < 0:
-        raise ValueError(f"moment order must be >= 0, got {max_order}")
+    _index(max_order, "moment order")
     lo, hi = max(0, n - max_order // 2), n + max_order // 2
     halves = [seq.omega(k) / 2 for k in range(lo + 1, hi + 1)]
     d = math.lcm(*(w.denominator for w in halves))
@@ -167,17 +166,17 @@ def walk_returns(
 def moments_by_walk(
     seq: JacobiSequence,
     state: int,
-    orders: Sequence[int],
+    orders: Iterable[int],
     scale: Union[int, str, Fraction] = 1,
 ) -> list[Fraction]:
     """Moments (B^n)[N][N] / s^(n/2) at each of orders, from one walk pass.
 
     Odd orders short-circuit to 0, so the pass runs only to the largest
     even order and reads no weight that the word engine would not.
+    orders may be any iterable; it is read once.
     """
     s = _as_positive(scale, "scale")
-    if any(k < 0 for k in orders):
-        raise ValueError(f"moment order must be >= 0, got {min(orders)}")
+    orders = [_index(k, "moment order") for k in orders]
     walk = walk_returns(seq, state, max((k for k in orders if k % 2 == 0), default=0))
     return [Fraction(0) if k % 2 else walk[k] / s ** (k // 2) for k in orders]
 
@@ -198,7 +197,7 @@ def moment_envelope(state: int, order: int) -> tuple[Fraction, Fraction]:
     n = state_index(state)
     if n < 1:
         raise ValueError(f"envelope needs a state level >= 1, got {n}")
-    if order < 0 or order % 2:
+    if _index(order, "moment order") % 2:
         raise ValueError(f"envelope is defined for even orders, got {order}")
     m = order // 2
     target = arcsine_moment(order)
@@ -222,8 +221,8 @@ class ConvergenceRow(NamedTuple):
 
 def convergence_table(
     seq: JacobiSequence,
-    states: Sequence[int],
-    orders: Sequence[int],
+    states: Iterable[int],
+    orders: Iterable[int],
     scale: Union[str, int, Fraction] = "canonical",
 ) -> list[ConvergenceRow]:
     """Scaled moments against their arcsine targets over a (N, order) grid.
@@ -240,19 +239,15 @@ def convergence_table(
     else:
         fixed = _as_positive(scale, "scale")
     rows = []
-    order_list = sorted(set(int(x) for x in orders))
-    for n in sorted(set(int(x) for x in states)):
+    order_list = sorted(set(_index(k, "moment order") for k in orders))
+    for n in sorted(set(state_index(x) for x in states)):
         s = canonical_scale(seq, n) if fixed is None else fixed
+        enveloped = seq.kind == "standard" and n >= 1 and s == canonical_scale(seq, n)
         values = moments_by_walk(seq, n, order_list, scale=s)
         for order, value in zip(order_list, values):
             target = arcsine_moment(order)
             env_lo = env_hi = None
-            if (
-                seq.kind == "standard"
-                and order % 2 == 0
-                and n >= 1
-                and s == canonical_scale(seq, n)
-            ):
+            if enveloped and order % 2 == 0:
                 env_lo, env_hi = moment_envelope(n, order)
             rows.append(
                 ConvergenceRow(

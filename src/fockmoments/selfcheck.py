@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .fock import JacobiSequence, LadderWord, Letter, canonical_scale
+from .fock import STANDARD, JacobiSequence, LadderWord, Letter, canonical_scale
 from .laws import validate_moments
 from .moments import (
     moment_by_words,
@@ -40,7 +40,7 @@ class SuiteResult(NamedTuple):
 
 def _sequences() -> list[tuple[str, JacobiSequence]]:
     return [
-        ("standard", JacobiSequence.standard()),
+        ("standard", STANDARD),
         ("q=0", JacobiSequence.q_deformed(0)),
         ("q=1/2", JacobiSequence.q_deformed(Fraction(1, 2))),
         ("q=1", JacobiSequence.q_deformed(1)),
@@ -96,11 +96,10 @@ def _suite_engines(fast: bool) -> Iterator[str | None]:
 
 def _suite_envelope(fast: bool) -> Iterator[str | None]:
     """Canonically scaled standard moments sit inside their envelopes."""
-    seq = JacobiSequence.standard()
     max_n = 8 if fast else 16
     orders = (2, 4) if fast else (2, 4, 6, 8)
     for n in range(1, max_n + 1):
-        for order, value in zip(orders, moments_by_walk(seq, n, orders, scale=n)):
+        for order, value in zip(orders, moments_by_walk(STANDARD, n, orders, scale=n)):
             lower, upper = moment_envelope(n, order)
             yield None if lower <= value <= upper else (
                 f"N={n}, order={order}: {value} outside [{lower}, {upper}]"

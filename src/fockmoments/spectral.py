@@ -30,16 +30,18 @@ from .fock import (
     CapExceeded,
     EigensolverFailure,
     JacobiSequence,
+    STANDARD,
     TruncationTooSmall,
     _as_positive,
+    _index,
     state_index,
     to_float,
 )
 from .laws import arcsine_cdf
 
 # Largest truncation K the eigensolver will accept; O(K^2) rotations in
-# pure Python get slow beyond this.  The cap applies to K even where the
-# bidiagonal path works at ceil(K/2).
+# pure Python get slow beyond this.  The cap applies to K, although the
+# bidiagonal SVD works at ceil(K/2).
 EIGEN_DIM_CAP = 4096
 
 # hermite_density_grid recursion depth guard
@@ -369,8 +371,7 @@ class DiscreteMeasure:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
 
     def moment(self, order: int) -> float:
-        if order < 0:
-            raise ValueError(f"moment order must be >= 0, got {order}")
+        _index(order, "moment order")
         return math.fsum(w * x**order for x, w in self.atoms)
 
     def cdf(self, x: float) -> float:
@@ -492,20 +493,17 @@ def density_spectrum_sup(state: int, dim: int, panels: int) -> float:
     mid-jump reading is the honest discretization-aware comparison.
     """
     n = state_index(state)
-    measure = reconstruct_state_measure(
-        JacobiSequence.standard(), n, dim, scale=1
-    )
+    if panels < 1:
+        raise ValueError(f"need at least 1 panel, got {panels}")
+    measure = reconstruct_state_measure(STANDARD, n, dim, scale=1)
     lo = measure.atoms[0][0] - 2.0
     hi = measure.atoms[-1][0] + 2.0
     xs = [lo + (hi - lo) * i / panels for i in range(panels + 1)]
     cdf = density_cdf(n, xs)
 
     def interp(x: float) -> float:
-        # linear interpolation of the integrated density
-        if x <= xs[0]:
-            return 0.0
-        if x >= xs[-1]:
-            return cdf[-1]
+        # linear interpolation of the integrated density; every atom lies
+        # 2.0 inside the grid's ends
         width = (hi - lo) / panels
         j = min(int((x - lo) / width), panels - 1)
         t = (x - xs[j]) / (xs[j + 1] - xs[j])

@@ -495,24 +495,35 @@ def test_table_formats_byte_exact(capsys, argv, fmt, expected):
     assert (code, out, err) == (0, expected, "")
 
 
-# size and sha256 of the SVG each argv wrote before the plot size and the
-# label branches of svgplot.line_plot became constants
+# size and sha256 of the SVG each argv wrote, and what it printed on
+# stderr; the first two as written before the plot size and the label
+# branches of svgplot.line_plot became constants, the last two a log axis
+# with no whole decade (ticks 2, 3, 0.17, 0.25) and a single atom (both
+# eigenvalues 0 once the weight underflows to 0.0)
 PLOT_CASES = [
     (["converge", "--N", "1,10,100", "--orders", "2,4"], 2611,
-     "acc0e99b5c6c02f37c97ce17d424bd821410b35db173d41bd9217d041845a177"),
+     "acc0e99b5c6c02f37c97ce17d424bd821410b35db173d41bd9217d041845a177", ""),
     (["reconstruct", "--N", "1", "--K", "8", "--density"], 36248,
-     "9fa367541d685def2d18cf77179b1f54c2e3a26075fd287bf20a7439da544596"),
+     "9fa367541d685def2d18cf77179b1f54c2e3a26075fd287bf20a7439da544596", ""),
+    (["converge", "--N", "2,3", "--orders", "2"], 1712,
+     "bc75ebb2d4c730cd2c0d1b8e0087494f41aa6c8d7dbeed5011c5e626f8db3fe9", ""),
+    (["reconstruct", "--jacobi", "explicit:1e-400", "--N", "0", "--K", "2"],
+     17276, "7b01b53ab418de4046ce556575149ccb223623c00e2000cf5c2ea56d8a5af912",
+     "warning: K = 2 reproduces moments of N = 0 only up to order 2\n"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, size, digest", PLOT_CASES, ids=["converge", "reconstruct-density"]
+    "argv, size, digest, stderr",
+    PLOT_CASES,
+    ids=["converge", "reconstruct-density", "converge-no-decade",
+         "reconstruct-one-atom"],
 )
-def test_plot_svg_byte_exact(capsys, tmp_path, argv, size, digest):
+def test_plot_svg_byte_exact(capsys, tmp_path, argv, size, digest, stderr):
     plot = tmp_path / "plot.svg"
     code, _, err = run_cli(capsys, argv + ["--plot", str(plot)])
     svg = plot.read_bytes()
-    assert (code, err, len(svg)) == (0, "", size)
+    assert (code, err, len(svg)) == (0, stderr, size)
     assert hashlib.sha256(svg).hexdigest() == digest
 
 
@@ -629,6 +640,8 @@ def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
         *(["moments", "--jacobi", j, "--N", "0", "--orders", "0"]
           for j in BAD_JSON_JACOBI),
         *(args for args, _ in REJECTED_HUGE_CASES),
+        ["moments", "--N", "2", "--orders", "x"],
+        ["classical", "--A2", "x", "--orders", "2"],
     ],
 )
 def test_invalid_configurations_exit_2(capsys, monkeypatch, tmp_path, args):

@@ -18,9 +18,20 @@ from fockmoments.fock import (
     q_integer,
     state_index,
 )
-from fockmoments.laws import classical_moment
-from fockmoments.moments import convergence_table, moment_by_words, moments_by_walk
-from fockmoments.spectral import reconstruct_state_measure
+from fockmoments.laws import (
+    arcsine_moment,
+    classical_moment,
+    classical_moment_quadrature,
+    vacuum_gaussian_moment,
+)
+from fockmoments.moments import (
+    convergence_table,
+    moment_by_words,
+    moment_envelope,
+    moments_by_walk,
+    walk_returns,
+)
+from fockmoments.spectral import DiscreteMeasure, reconstruct_state_measure
 
 # a negative rational past the interpreter's 4,300-digit string limit
 HUGE_NEGATIVE = Fraction(-10**5000)
@@ -134,6 +145,10 @@ def test_sequence_construction_rejects_bad_parameters():
         JacobiSequence(kind="standard", q=Fraction(1, 2))
     with pytest.raises(ValueError):
         JacobiSequence(kind="q")
+    with pytest.raises(ValueError, match="no explicit list"):
+        JacobiSequence(kind="q", q=Fraction(1, 2), omegas=(Fraction(1),))
+    with pytest.raises(ValueError, match="no deformation q"):
+        JacobiSequence(kind="explicit", q=Fraction(1, 2), omegas=(Fraction(1),))
 
 
 def test_sequence_json_round_trip():
@@ -199,6 +214,49 @@ def test_canonical_scale():
     assert canonical_scale(JacobiSequence.explicit(["1", "3/2"]), 2) == 1
     with pytest.raises(ValueError):
         canonical_scale(STANDARD, 0)
+
+
+# every public call that takes a moment order, and convergence_table's
+# states, with the index name its error carries
+INDEXED_CALLS = {
+    "moment_by_words": (lambda v: moment_by_words(STANDARD, 2, v), "moment order"),
+    "walk_returns": (lambda v: walk_returns(STANDARD, 2, v), "moment order"),
+    "moments_by_walk": (lambda v: moments_by_walk(STANDARD, 2, [v]), "moment order"),
+    "moment_envelope": (lambda v: moment_envelope(2, v), "moment order"),
+    "convergence_table-order": (
+        lambda v: convergence_table(STANDARD, [1], [v]), "moment order"
+    ),
+    "convergence_table-state": (
+        lambda v: convergence_table(STANDARD, [v], [2]), "number state index"
+    ),
+    "arcsine_moment": (arcsine_moment, "moment order"),
+    "vacuum_gaussian_moment": (vacuum_gaussian_moment, "moment order"),
+    "classical_moment": (lambda v: classical_moment(2, v), "moment order"),
+    "classical_moment_quadrature": (
+        lambda v: classical_moment_quadrature(1.0, v), "moment order"
+    ),
+    "DiscreteMeasure.moment": (
+        lambda v: DiscreteMeasure(atoms=((0.5, 1.0),)).moment(v), "moment order"
+    ),
+}
+BAD_INDICES = {
+    "negative": (-1, "must be >= 0, got -1"),
+    "bool": (True, "must be an int, got True"),
+    "fraction-float": (2.5, "must be an int, got 2.5"),
+    "whole-float": (2.0, "must be an int, got 2.0"),
+    "str": ("2", "must be an int, got '2'"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INDICES.values(), ids=BAD_INDICES.keys())
+@pytest.mark.parametrize(
+    "call, name", INDEXED_CALLS.values(), ids=INDEXED_CALLS.keys()
+)
+def test_every_order_and_state_is_checked_alike(call, name, bad):
+    value, message = bad
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} {message}"
 
 
 def test_number_state_and_coercion():

@@ -311,6 +311,11 @@ def test_vacuum_moments_match_gaussian():
     ]
 
 
+def test_moments_by_walk_reads_its_orders_once():
+    orders = (k for k in [2, 4])
+    assert moments_by_walk(STANDARD, 2, orders) == [Fraction(5, 2), Fraction(39, 4)]
+
+
 def test_moments_by_walk_over_an_order_range():
     values = moments_by_walk(STANDARD, 4, range(7), scale=4)
     assert len(values) == 7
@@ -385,4 +390,7 @@ def test_convergence_table_validation():
         convergence_table(STANDARD, [2], [-2], scale=1)
     with pytest.raises(ValueError):
         convergence_table(STANDARD, [2], [2], scale=0)
+    # a NumPy integer is not an int, as everywhere else
+    with pytest.raises(ValueError, match="number state index must be an int"):
+        convergence_table(STANDARD, [np.int64(2)], [2])
 

@@ -161,6 +161,8 @@ def test_eigendecompose_validation():
         eigendecompose(tri, row=-1)
     with pytest.raises(ValueError):
         eigendecompose(Tridiagonal(diag=(0.0, 0.0), offdiag=()), row=0)
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        eigendecompose(Tridiagonal(diag=(), offdiag=()), row=0)
     # the eigensolver takes the zero diagonal of a position matrix only
     with pytest.raises(ValueError, match="zero diagonal"):
         eigendecompose(Tridiagonal(diag=(0.0, 1.0, 0.0), offdiag=(1.0, 1.0)), row=0)
@@ -203,6 +205,9 @@ def test_reconstruct_requires_headroom():
     # the minimum allowed dimension works
     measure = reconstruct_state_measure(STANDARD, 5, 7)
     assert len(measure.atoms) == 7
+    # a weight that underflows to 0.0 leaves both eigenvalues at 0, one atom
+    tiny = JacobiSequence.explicit(["1e-400"])
+    assert reconstruct_state_measure(tiny, 0, 2).atoms == ((0.0, 1.0),)
 
 
 def test_reconstruct_vacuum_variance():
@@ -372,6 +377,11 @@ def test_reconstructed_odd_moments_cancel_to_conditioning():
     for order in (1, 3, 5, 7, 9, 11):
         absolute = math.fsum(w * abs(x) ** order for x, w in measure.atoms)
         assert abs(measure.moment(order)) <= 1e-12 * absolute
+
+
+def test_density_spectrum_sup_needs_a_panel():
+    with pytest.raises(ValueError, match="at least 1 panel, got 0"):
+        density_spectrum_sup(0, 10, panels=0)
 
 
 def test_density_spectrum_sup_small():
