@@ -39,6 +39,7 @@ from .fock import (
     JacobiSequence,
     TruncationTooSmall,
     _exact_str,
+    _index,
     as_fraction,
     canonical_scale,
     to_float,
@@ -60,7 +61,7 @@ def parse_jacobi(text: str) -> JacobiSequence:
         if t == "standard":
             return JacobiSequence.standard()
         if t.startswith("q="):
-            return JacobiSequence.q_deformed(as_fraction(t[2:]))
+            return JacobiSequence.q_deformed(t[2:])
         if t.startswith("explicit:"):
             parts = [p.strip() for p in t[len("explicit:"):].split(",") if p.strip()]
             if not parts:
@@ -81,28 +82,26 @@ def parse_jacobi(text: str) -> JacobiSequence:
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """Comma-separated integers, each checked by ``_index`` under ``flag``."""
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise ConfigError(f"{flag} must list at least one integer")
     try:
-        return tuple(int(t) for t in items)
+        values = [int(t) for t in items]
     except ValueError as exc:
         raise ConfigError(
             f"{flag} must be comma-separated integers, got {text!r}"
         ) from exc
+    return tuple(_index(v, flag) for v in values)
 
 
-def _parse_single_int(text: str, flag: str) -> int:
+def _parse_single_int(text: str, flag: str, least: int = 0) -> int:
+    """One integer, checked by ``_index`` under ``flag``."""
     try:
-        return int(text.strip())
+        value = int(text.strip())
     except ValueError as exc:
         raise ConfigError(f"{flag} must be an integer, got {text!r}") from exc
-
-
-def _check_nonnegative(values: Sequence[int], flag: str) -> None:
-    for value in values:
-        if value < 0:
-            raise ConfigError(f"{flag} values must be >= 0, got {value}")
+    return _index(value, flag, least)
 
 
 def _parse_positive(text: str, flag: str) -> Fraction:
@@ -232,8 +231,6 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     state = _parse_single_int(ns.N, "--N")
     orders = _parse_int_list(ns.orders, "--orders")
     scale = _parse_scale(ns.scale)
-    _check_nonnegative((state,), "--N")
-    _check_nonnegative(orders, "--orders")
 
     from .moments import moment_by_words, moments_by_walk
 
@@ -264,8 +261,6 @@ def cmd_converge(ns: argparse.Namespace) -> int:
     states = _parse_int_list(ns.N, "--N")
     orders = _parse_int_list(ns.orders, "--orders")
     scale = _parse_scale(ns.scale)
-    _check_nonnegative(states, "--N")
-    _check_nonnegative(orders, "--orders")
 
     from .moments import convergence_table
 
@@ -333,14 +328,11 @@ def _density_points(
 def cmd_reconstruct(ns: argparse.Namespace) -> int:
     seq = parse_jacobi(ns.jacobi)
     state = _parse_single_int(ns.N, "--N")
-    dim = state + 64 if ns.K is None else _parse_single_int(ns.K, "--K")
+    dim = state + 64 if ns.K is None else _parse_single_int(ns.K, "--K", least=1)
     scale = _parse_scale(ns.scale)
-    _check_nonnegative((state,), "--N")
-    if dim < 1:
-        raise ConfigError(f"--K must be >= 1, got {dim}")
 
     from .spectral import (
-        _check_density_cap,
+        DENSITY_LEVEL_CAP,
         ks_distance_to_arcsine,
         lossless_order,
         reconstruct_state_measure,
@@ -349,8 +341,8 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     scale = _resolve_scale(scale, seq, state)
     if ns.density and seq.kind != "standard":
         raise ConfigError("--density is defined for the standard sequence only")
-    if ns.density:
-        _check_density_cap(state)  # no eigensolve for a density over the cap
+    if ns.density:  # no eigensolve for a density over the cap
+        _index(state, "density level", cap=DENSITY_LEVEL_CAP)
     measure = reconstruct_state_measure(seq, state, dim, scale=scale)
     lossless = lossless_order(state, dim)
     if lossless <= 2:
@@ -406,19 +398,13 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
         from .laws import arcsine_density
         from .svgplot import line_plot
 
-        atoms = measure.atoms
+        # weight over the mean distance to the neighbouring atoms
+        xs = [x for x, _ in measure.atoms]
+        last = len(xs) - 1
         est = []
-        for i, (x, w) in enumerate(atoms):
-            left = atoms[i - 1][0] if i > 0 else None
-            right = atoms[i + 1][0] if i + 1 < len(atoms) else None
-            if left is None and right is None:
-                gap = 1.0
-            elif left is None:
-                gap = right - x
-            elif right is None:
-                gap = x - left
-            else:
-                gap = (right - left) / 2.0
+        for i, (x, w) in enumerate(measure.atoms):
+            lo, hi = max(i - 1, 0), min(i + 1, last)
+            gap = (xs[hi] - xs[lo]) / (hi - lo) if last else 1.0
             est.append((x, w / gap))
         series: list[tuple[str, list[tuple[float, float]]]] = [
             ("reconstruction", est)
@@ -448,8 +434,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
 def cmd_classical(ns: argparse.Namespace) -> int:
     a2 = _parse_positive(ns.A2, "--A2")
     orders = _parse_int_list(ns.orders, "--orders")
-    panels = _parse_single_int(ns.panels, "--panels")
-    _check_nonnegative(orders, "--orders")
+    panels = _parse_single_int(ns.panels, "--panels", least=16)
 
     from .laws import classical_moment, classical_moment_quadrature
 

@@ -107,8 +107,7 @@ def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
     qf = as_fraction(q)
     if not 0 <= qf <= 1:
         raise ValueError(f"q must lie in [0, 1], got {_shown(qf)}")
-    if n < 0:
-        raise ValueError(f"q-integer index must be >= 0, got {n}")
+    _index(n, "q-integer index")
     if qf == 1:
         return Fraction(n)
     # geometric sum (1 - q^n) / (1 - q)
@@ -128,6 +127,9 @@ class JacobiSequence:
     - ``"standard"``: omega_n = n
     - ``"q"``: omega_n = [n]_q for a rational deformation q in [0, 1]
     - ``"explicit"``: a finite list of positive rationals
+
+    ``q`` and each weight are coerced through ``as_fraction``, so a float
+    is refused and any iterable of weights becomes a tuple.
     """
 
     kind: str
@@ -135,6 +137,9 @@ class JacobiSequence:
     omegas: tuple[Fraction, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if self.q is not None:
+            object.__setattr__(self, "q", as_fraction(self.q))
+        object.__setattr__(self, "omegas", tuple(map(as_fraction, self.omegas)))
         if self.kind == "standard":
             if self.q is not None or self.omegas:
                 raise ValueError("standard sequences take no parameters")
@@ -162,18 +167,15 @@ class JacobiSequence:
 
     @staticmethod
     def q_deformed(q: Union[int, str, Fraction]) -> "JacobiSequence":
-        return JacobiSequence(kind="q", q=as_fraction(q))
+        return JacobiSequence(kind="q", q=q)
 
     @staticmethod
     def explicit(omegas: Sequence[Union[int, str, Fraction]]) -> "JacobiSequence":
-        return JacobiSequence(
-            kind="explicit", omegas=tuple(as_fraction(w) for w in omegas)
-        )
+        return JacobiSequence(kind="explicit", omegas=omegas)
 
     def omega(self, n: int) -> Fraction:
         """The weight omega_n, for n >= 1."""
-        if n < 1:
-            raise ValueError(f"Jacobi weights are indexed from 1, got n={n}")
+        _index(n, "Jacobi weight index", least=1)
         if self.kind == "standard":
             return Fraction(n)
         if self.kind == "q":
@@ -208,12 +210,12 @@ class JacobiSequence:
         if kind == "q":
             if "q" not in obj:
                 raise ValueError("kind 'q' requires a field 'q'")
-            return JacobiSequence.q_deformed(as_fraction(obj["q"]))
+            return JacobiSequence.q_deformed(obj["q"])
         if "omega" not in obj or not isinstance(obj["omega"], list):
             raise ValueError("kind 'explicit' requires a list field 'omega'")
         if not obj["omega"]:
             raise ValueError("explicit list is empty")
-        return JacobiSequence.explicit([as_fraction(w) for w in obj["omega"]])
+        return JacobiSequence.explicit(obj["omega"])
 
     def to_json(self) -> dict:
         """JSON description, inverse of ``from_json``."""
@@ -240,22 +242,25 @@ def canonical_scale(seq: JacobiSequence, state: int) -> Fraction:
     sequences carry no such asymptotic rule, so their canonical scale
     is 1 and callers override it when they want something else.
     """
-    n = state_index(state)
-    if n < 1:
-        raise ValueError(f"canonical scale needs a state level >= 1, got {n}")
+    n = _index(state, "state level for the canonical scale", least=1)
     if seq.kind == "explicit":
         return Fraction(1)
     return seq.omega(n)
 
 
-def _index(value: int, name: str) -> int:
-    """``value`` when it is an int, not a bool, and at least 0; ValueError
-    naming it otherwise.  The one rule for a number state and a moment
-    order."""
+def _index(value: int, name: str, least: int = 0, cap: int | None = None) -> int:
+    """``value`` when it is an int, not a bool, from ``least`` up to ``cap``.
+
+    The one rule for every integer argument: a number state, an order, a
+    dimension, a row, a panel count.  Anything else raises ValueError
+    naming it, and a value above ``cap`` raises CapExceeded.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if cap is not None and value > cap:
+        raise CapExceeded(f"{name} {value} exceeds the cap {cap}")
     return value
 
 
@@ -311,23 +316,15 @@ class LadderWord:
         return iter(self.letters)
 
 
-def _check_word_cap(m: int) -> None:
-    """Raise CapExceeded when balanced words of half-length m are over the cap."""
-    if m > WORD_ORDER_CAP:
-        raise CapExceeded(
-            f"balanced-word half-length {m} exceeds the cap {WORD_ORDER_CAP}"
-        )
-
-
 def enumerate_balanced_words(m: int) -> list[LadderWord]:
     """All length-2m words with m annihilators and m creators.
 
     Returned in lexicographic order with ANNIHILATE < CREATE; there are
-    C(2m, m) of them.  m is capped at WORD_ORDER_CAP.
+    C(2m, m) of them.  m is capped at WORD_ORDER_CAP.  Every word is
+    built, so time and memory grow like C(2m, m): m = 11 takes seconds
+    and a few hundred MB, m = 12 about four times that.
     """
-    if m < 1:
-        raise ValueError(f"balanced words need m >= 1, got {m}")
-    _check_word_cap(m)
+    _index(m, "balanced-word half-length", least=1, cap=WORD_ORDER_CAP)
     words = []
     for spots in itertools.combinations(range(2 * m), m):
         letters = [Letter.CREATE] * (2 * m)

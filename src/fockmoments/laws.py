@@ -87,8 +87,7 @@ def classical_moment_quadrature(
     if amplitude <= 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     _index(order, "moment order")
-    if panels < 16:
-        raise ValueError(f"need at least 16 panels, got {panels}")
+    _index(panels, "panels", least=16)
     total = 0.0
     try:
         for j in range(panels):

@@ -23,8 +23,8 @@ from .fock import (
     JacobiSequence,
     LadderWord,
     Letter,
+    WORD_ORDER_CAP,
     _as_positive,
-    _check_word_cap,
     _index,
     canonical_scale,
     state_index,
@@ -91,8 +91,7 @@ def moment_by_words(
         return Fraction(1)
     if order % 2:
         return Fraction(0)
-    m = order // 2
-    _check_word_cap(m)
+    m = _index(order // 2, "balanced-word half-length", cap=WORD_ORDER_CAP)
     # omega_(N+1) .. omega_(N+m) first, as the first word a^m c^m reads them,
     # so a short explicit list fails on the same omega as word_matrix_element
     levels = (*range(n + 1, n + m + 1), *range(max(1, n - m + 1), n + 1))
@@ -194,9 +193,7 @@ def moment_envelope(state: int, order: int) -> tuple[Fraction, Fraction]:
     zero factor once m exceeds N, which keeps it a valid (if slack)
     bound.  Returns (lower, upper); requires N >= 1 and an even order.
     """
-    n = state_index(state)
-    if n < 1:
-        raise ValueError(f"envelope needs a state level >= 1, got {n}")
+    n = _index(state, "state level for the envelope", least=1)
     if _index(order, "moment order") % 2:
         raise ValueError(f"envelope is defined for even orders, got {order}")
     m = order // 2

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .fock import (
-    CapExceeded,
     EigensolverFailure,
     JacobiSequence,
     STANDARD,
@@ -61,23 +60,6 @@ class Tridiagonal(NamedTuple):
     offdiag: tuple[float, ...]
 
 
-def _check_dim_cap(dim: int) -> None:
-    """Raise CapExceeded when a truncation is over the eigensolver cap."""
-    if dim > EIGEN_DIM_CAP:
-        raise CapExceeded(
-            f"truncation dimension {dim} exceeds the eigensolver cap "
-            f"{EIGEN_DIM_CAP}"
-        )
-
-
-def _check_density_cap(n: int) -> None:
-    """Raise CapExceeded when a density level is over the recursion cap."""
-    if n > DENSITY_LEVEL_CAP:
-        raise CapExceeded(
-            f"density level {n} exceeds the cap {DENSITY_LEVEL_CAP}"
-        )
-
-
 def truncated_position_matrix(seq: JacobiSequence, dim: int) -> Tridiagonal:
     """The position operator X = (a + a*) / sqrt(2) on the first dim levels.
 
@@ -86,9 +68,7 @@ def truncated_position_matrix(seq: JacobiSequence, dim: int) -> Tridiagonal:
     before any weight is read; a weight too large for a float raises
     ValueError.
     """
-    if dim < 1:
-        raise ValueError(f"truncation dimension must be >= 1, got {dim}")
-    _check_dim_cap(dim)
+    _index(dim, "truncation dimension", least=1, cap=EIGEN_DIM_CAP)
     off = tuple(
         math.sqrt(to_float(seq.omega(n), f"weight omega_{n}") / 2.0)
         for n in range(1, dim)
@@ -319,9 +299,7 @@ def eigendecompose(
     gives each singular value at most ``_MAX_SWEEPS`` (50) implicit
     sweeps.
     """
-    dim = len(matrix.diag)
-    if dim < 1:
-        raise ValueError("matrix must have dimension >= 1")
+    dim = _index(len(matrix.diag), "matrix dimension", least=1, cap=EIGEN_DIM_CAP)
     if len(matrix.offdiag) != dim - 1:
         raise ValueError(
             f"off-diagonal length {len(matrix.offdiag)} does not match "
@@ -329,8 +307,7 @@ def eigendecompose(
         )
     if any(matrix.diag):
         raise ValueError("eigendecompose takes a zero diagonal only")
-    _check_dim_cap(dim)
-    if not 0 <= row < dim:
+    if _index(row, "row") >= dim:
         raise ValueError(f"row {row} outside 0..{dim - 1}")
 
     values, squared = _golub_kahan(matrix.offdiag, row)
@@ -386,7 +363,7 @@ def lossless_order(state: int, dim: int) -> int:
     truncation only beyond order 2 (K - 1 - N).
     """
     n = state_index(state)
-    return 2 * (dim - 1 - n)
+    return 2 * (_index(dim, "truncation dimension", least=1) - 1 - n)
 
 
 def reconstruct_state_measure(
@@ -404,7 +381,7 @@ def reconstruct_state_measure(
     """
     n = state_index(state)
     s = _as_positive(scale, "scale")
-    if dim < n + 2:
+    if _index(dim, "truncation dimension", least=1) < n + 2:
         raise TruncationTooSmall(
             f"truncation dimension {dim} is below state + 2 = {n + 2}"
         )
@@ -435,8 +412,7 @@ def hermite_density_grid(
     bounded where the bare Hermite recurrence would overflow.  Each level
     is one pass over the grid, with the arithmetic of a one-point call.
     """
-    n = state_index(state)
-    _check_density_cap(n)
+    n = _index(state, "density level", cap=DENSITY_LEVEL_CAP)
     norm = math.pi**0.25
     phi_prev = [0.0] * len(xs)
     phi = [math.exp(-0.5 * x * x) / norm for x in xs]
@@ -493,8 +469,7 @@ def density_spectrum_sup(state: int, dim: int, panels: int) -> float:
     mid-jump reading is the honest discretization-aware comparison.
     """
     n = state_index(state)
-    if panels < 1:
-        raise ValueError(f"need at least 1 panel, got {panels}")
+    _index(panels, "panels", least=1)
     measure = reconstruct_state_measure(STANDARD, n, dim, scale=1)
     lo = measure.atoms[0][0] - 2.0
     hi = measure.atoms[-1][0] + 2.0

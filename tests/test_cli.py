@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import xml.dom.minidom
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockmoments
 from fockmoments.cli import ConfigError, main, parse_jacobi
@@ -726,6 +731,125 @@ def test_density_cap_checked_before_eigensolve(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: density level 201 exceeds the cap 200\n"
+
+
+@pytest.mark.parametrize(
+    "args, code, line",
+    [
+        (["moments", "--N", "-1"], 2, "--N must be >= 0, got -1"),
+        (["moments", "--orders", "2,-1"], 2, "--orders must be >= 0, got -1"),
+        (["converge", "--N", "1,-2"], 2, "--N must be >= 0, got -2"),
+        (["reconstruct", "--K", "0"], 2, "--K must be >= 1, got 0"),
+        (["classical", "--panels", "15"], 2, "--panels must be >= 16, got 15"),
+        # a negative flag is reported when it is parsed, before a later flag
+        (["reconstruct", "--N", "-1", "--K", "x"], 2, "--N must be >= 0, got -1"),
+        (["moments", "--orders", "26", "--engine", "words"], 3,
+         "balanced-word half-length 13 exceeds the cap 12"),
+        (["reconstruct", "--K", "4097"], 3,
+         "truncation dimension 4097 exceeds the cap 4096"),
+    ],
+)
+def test_integer_flag_errors(capsys, monkeypatch, tmp_path, args, code, line):
+    monkeypatch.chdir(tmp_path)
+    err = _one_line_error(capsys, tmp_path, args, code, line)
+    assert err == f"error: {line}\n"
+
+
+# the integer flags of each command, and its formats
+INT_FLAGS = {
+    "moments": ("--N", "--orders"),
+    "converge": ("--N", "--orders"),
+    "reconstruct": ("--N", "--K"),
+    "classical": ("--orders", "--panels"),
+}
+FORMATS = {
+    "moments": ("text", "csv", "json"),
+    "converge": ("csv", "json"),
+    "reconstruct": ("text", "csv", "json"),
+    "classical": ("text", "csv", "json"),
+}
+# values that parse and run quickly; every --N is >= 1 for converge's
+# canonical scale and every --K is >= N + 2
+GOOD_VALUES = {
+    "--N": st.integers(1, 6).map(str),
+    "--orders": st.lists(st.integers(0, 8), min_size=1, max_size=3).map(
+        lambda v: ",".join(map(str, v))
+    ),
+    "--K": st.integers(8, 24).map(str),
+    "--panels": st.integers(16, 40).map(str),
+}
+# negative, non-integer, empty and below-least values
+BAD_VALUES = {
+    "--N": st.sampled_from(["-1", "1,-2", "2.5", "", " ", "x"]),
+    "--orders": st.sampled_from(["-1", "2,-3", "2.5", "", "1,,x", "1e3"]),
+    "--K": st.sampled_from(["0", "-1", "2.5", "", "x"]),
+    "--panels": st.sampled_from(["15", "-1", "2.5", "", "x"]),
+}
+# a value just past a cap: the flags it sets and its error line
+CAPS = {
+    "moments": [
+        (["--orders", "26", "--engine", "words"],
+         "balanced-word half-length 13 exceeds the cap 12"),
+    ],
+    "reconstruct": [
+        (["--K", "4097"], "truncation dimension 4097 exceeds the cap 4096"),
+        (["--N", "201", "--density"], "density level 201 exceeds the cap 200"),
+    ],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv, whether one of its values is bad, and the line of the cap
+    that it passes, if any."""
+    command = draw(st.sampled_from(sorted(INT_FLAGS)))
+    argv = [command, "--format", draw(st.sampled_from(FORMATS[command]))]
+    cap = draw(st.sampled_from([None, *CAPS.get(command, [])]))
+    fixed = cap[0] if cap else []
+    if command == "moments" and "--engine" not in fixed:
+        argv += ["--engine", draw(st.sampled_from(["tridiagonal", "words"]))]
+    if command == "reconstruct" and "--density" not in fixed and draw(st.booleans()):
+        argv.append("--density")
+    any_bad = False
+    for flag in INT_FLAGS[command]:
+        if flag in fixed:
+            continue
+        kind = draw(st.sampled_from(["good", "bad", "default"]))
+        if kind != "default":
+            any_bad |= kind == "bad"
+            values = BAD_VALUES if kind == "bad" else GOOD_VALUES
+            argv += [flag, draw(values[flag])]
+    return argv + fixed, any_bad, cap[1] if cap else None
+
+
+def _never_read(*args, **kwargs):
+    raise AssertionError("a weight was read before the cap was checked")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_integer_flags_exit_by_the_one_rule(case):
+    argv, any_bad, cap_line = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if cap_line:
+            # every cap fails before any weight is read
+            with mock.patch.object(JacobiSequence, "omega", _never_read):
+                code = main(argv)
+        else:
+            code = main(argv)
+    err = err.getvalue()
+    if any_bad:
+        assert code == 2
+    elif cap_line:
+        assert (code, err) == (3, f"error: {cap_line}\n")
+    else:
+        assert code == 0 and out.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert "error:" not in err
 
 
 def test_minimal_explicit_list_same_on_both_engines(capsys):

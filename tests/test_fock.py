@@ -31,7 +31,18 @@ from fockmoments.moments import (
     moments_by_walk,
     walk_returns,
 )
-from fockmoments.spectral import DiscreteMeasure, reconstruct_state_measure
+from fockmoments.spectral import (
+    DENSITY_LEVEL_CAP,
+    EIGEN_DIM_CAP,
+    DiscreteMeasure,
+    Tridiagonal,
+    density_spectrum_sup,
+    eigendecompose,
+    hermite_density_grid,
+    lossless_order,
+    reconstruct_state_measure,
+    truncated_position_matrix,
+)
 
 # a negative rational past the interpreter's 4,300-digit string limit
 HUGE_NEGATIVE = Fraction(-10**5000)
@@ -149,6 +160,16 @@ def test_sequence_construction_rejects_bad_parameters():
         JacobiSequence(kind="q", q=Fraction(1, 2), omegas=(Fraction(1),))
     with pytest.raises(ValueError, match="no deformation q"):
         JacobiSequence(kind="explicit", q=Fraction(1, 2), omegas=(Fraction(1),))
+    # the constructor coerces q and each weight as the factories do
+    with pytest.raises(ValueError, match="floats are not exact"):
+        JacobiSequence(kind="explicit", omegas=(1.5, 2.5))
+    with pytest.raises(ValueError, match="floats are not exact"):
+        JacobiSequence(kind="q", q=0.5)
+    assert JacobiSequence(kind="q", q="1/2") == JacobiSequence.q_deformed("1/2")
+    listed = JacobiSequence(kind="explicit", omegas=[1, "3/2"])
+    assert listed.omegas == (Fraction(1), Fraction(3, 2))
+    assert all(type(w) is Fraction for w in listed.omegas)
+    assert hash(listed) == hash(JacobiSequence.explicit(["1", "3/2"]))
 
 
 def test_sequence_json_round_trip():
@@ -257,6 +278,90 @@ def test_every_order_and_state_is_checked_alike(call, name, bad):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == f"{name} {message}"
+
+
+# every other integer argument: its call, the name its error carries, its
+# least value and its cap
+INTEGER_ARGUMENTS = {
+    "q_integer": (lambda v: q_integer(v, "1/2"), "q-integer index", 0, None),
+    "JacobiSequence.omega": (
+        lambda v: JacobiSequence.q_deformed("1/2").omega(v),
+        "Jacobi weight index", 1, None,
+    ),
+    "canonical_scale": (
+        lambda v: canonical_scale(STANDARD, v),
+        "state level for the canonical scale", 1, None,
+    ),
+    "enumerate_balanced_words": (
+        enumerate_balanced_words, "balanced-word half-length", 1, WORD_ORDER_CAP
+    ),
+    "moment_envelope-state": (
+        lambda v: moment_envelope(v, 2), "state level for the envelope", 1, None
+    ),
+    "truncated_position_matrix": (
+        lambda v: truncated_position_matrix(STANDARD, v),
+        "truncation dimension", 1, EIGEN_DIM_CAP,
+    ),
+    "eigendecompose-row": (
+        lambda v: eigendecompose(truncated_position_matrix(STANDARD, 4), v),
+        "row", 0, None,
+    ),
+    "reconstruct_state_measure-dim": (
+        lambda v: reconstruct_state_measure(STANDARD, 0, v),
+        "truncation dimension", 1, None,
+    ),
+    "lossless_order-dim": (
+        lambda v: lossless_order(0, v), "truncation dimension", 1, None
+    ),
+    "hermite_density_grid": (
+        lambda v: hermite_density_grid(v, [0.0]),
+        "density level", 0, DENSITY_LEVEL_CAP,
+    ),
+    "density_spectrum_sup-panels": (
+        lambda v: density_spectrum_sup(0, 10, v), "panels", 1, None
+    ),
+    "classical_moment_quadrature-panels": (
+        lambda v: classical_moment_quadrature(1.0, 2, v), "panels", 16, None
+    ),
+}
+# caps on a value derived from the arguments; each call ignores its argument
+# and passes a value one past the cap
+DERIVED_CAPS = {
+    "moment_by_words": (
+        lambda _: moment_by_words(STANDARD, 2, 2 * WORD_ORDER_CAP + 2),
+        "balanced-word half-length", WORD_ORDER_CAP,
+    ),
+    "eigendecompose-dim": (
+        lambda _: eigendecompose(
+            Tridiagonal((0.0,) * (EIGEN_DIM_CAP + 1), (1.0,) * EIGEN_DIM_CAP), 0
+        ),
+        "matrix dimension", EIGEN_DIM_CAP,
+    ),
+}
+WRONG_TYPES = {"bool": True, "fraction-float": 2.5, "whole-float": 2.0, "str": "2"}
+
+
+def _integer_argument_cases():
+    for key, (call, name, least, cap) in INTEGER_ARGUMENTS.items():
+        for label, value in WRONG_TYPES.items():
+            message = f"{name} must be an int, got {value!r}"
+            yield pytest.param(call, value, ValueError, message, id=f"{key}-{label}")
+        message = f"{name} must be >= {least}, got {least - 1}"
+        yield pytest.param(call, least - 1, ValueError, message, id=f"{key}-below")
+        if cap is not None:
+            message = f"{name} {cap + 1} exceeds the cap {cap}"
+            yield pytest.param(call, cap + 1, CapExceeded, message, id=f"{key}-cap")
+    for key, (call, name, cap) in DERIVED_CAPS.items():
+        message = f"{name} {cap + 1} exceeds the cap {cap}"
+        yield pytest.param(call, None, CapExceeded, message, id=f"{key}-cap")
+
+
+@pytest.mark.parametrize("call, value, error, message", _integer_argument_cases())
+def test_every_integer_argument_is_checked_alike(call, value, error, message):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_number_state_and_coercion():

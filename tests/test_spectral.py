@@ -161,7 +161,7 @@ def test_eigendecompose_validation():
         eigendecompose(tri, row=-1)
     with pytest.raises(ValueError):
         eigendecompose(Tridiagonal(diag=(0.0, 0.0), offdiag=()), row=0)
-    with pytest.raises(ValueError, match="dimension >= 1"):
+    with pytest.raises(ValueError, match="matrix dimension must be >= 1, got 0"):
         eigendecompose(Tridiagonal(diag=(), offdiag=()), row=0)
     # the eigensolver takes the zero diagonal of a position matrix only
     with pytest.raises(ValueError, match="zero diagonal"):
@@ -380,7 +380,7 @@ def test_reconstructed_odd_moments_cancel_to_conditioning():
 
 
 def test_density_spectrum_sup_needs_a_panel():
-    with pytest.raises(ValueError, match="at least 1 panel, got 0"):
+    with pytest.raises(ValueError, match="panels must be >= 1, got 0"):
         density_spectrum_sup(0, 10, panels=0)
 
 
