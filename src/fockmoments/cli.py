@@ -38,16 +38,12 @@ from .fock import (
     EigensolverFailure,
     JacobiSequence,
     TruncationTooSmall,
+    _as_positive,
     _exact_str,
     _index,
-    as_fraction,
     canonical_scale,
     to_float,
 )
-
-
-class ConfigError(ValueError):
-    """An invalid command line or configuration value."""
 
 
 def parse_jacobi(text: str) -> JacobiSequence:
@@ -65,17 +61,15 @@ def parse_jacobi(text: str) -> JacobiSequence:
         if t.startswith("explicit:"):
             parts = [p.strip() for p in t[len("explicit:"):].split(",") if p.strip()]
             if not parts:
-                raise ConfigError("--jacobi explicit list is empty")
+                raise ValueError("explicit list is empty")
             return JacobiSequence.explicit(parts)
         if t.startswith("{"):
             import json
 
             return JacobiSequence.from_json(json.loads(t))
-    except ConfigError:
-        raise
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
-        raise ConfigError(f"--jacobi: {exc}") from exc
-    raise ConfigError(
+        raise ValueError(f"--jacobi: {exc}") from exc
+    raise ValueError(
         "--jacobi must be 'standard', 'q=<rational>', 'explicit:<list>' "
         f"or a JSON object, got {text!r}"
     )
@@ -85,11 +79,11 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     """Comma-separated integers, each checked by ``_index`` under ``flag``."""
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
-        raise ConfigError(f"{flag} must list at least one integer")
+        raise ValueError(f"{flag} must list at least one integer")
     try:
         values = [int(t) for t in items]
     except ValueError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"{flag} must be comma-separated integers, got {text!r}"
         ) from exc
     return tuple(_index(v, flag) for v in values)
@@ -100,26 +94,15 @@ def _parse_single_int(text: str, flag: str, least: int = 0) -> int:
     try:
         value = int(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"{flag} must be an integer, got {text!r}") from exc
+        raise ValueError(f"{flag} must be an integer, got {text!r}") from exc
     return _index(value, flag, least)
-
-
-def _parse_positive(text: str, flag: str) -> Fraction:
-    t = text.strip()
-    try:
-        value = as_fraction(t)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-    if value <= 0:
-        raise ConfigError(f"{flag} must be positive, got {t}")
-    return value
 
 
 def _parse_scale(text: str) -> Fraction | str:
     """A positive rational, or ``"canonical"``."""
     if text.strip() == "canonical":
         return "canonical"
-    return _parse_positive(text, "--scale")
+    return _as_positive(text, "--scale")
 
 
 def _resolve_scale(scale: Fraction | str, seq: JacobiSequence, state: int) -> Fraction:
@@ -235,8 +218,12 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     from .moments import moment_by_words, moments_by_walk
 
     scale = _resolve_scale(scale, seq, state)
-    if ns.engine == "words":
-        moments = [moment_by_words(seq, state, k, scale=scale) for k in orders]
+    if ns.engine == "words":  # largest first: a cap fails before any sum
+        by_order = {
+            k: moment_by_words(seq, state, k, scale=scale)
+            for k in sorted(set(orders), reverse=True)
+        }
+        moments = [by_order[k] for k in orders]
     else:
         moments = moments_by_walk(seq, state, orders, scale=scale)
     # only JSON prints the sequence and the scale
@@ -340,7 +327,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
 
     scale = _resolve_scale(scale, seq, state)
     if ns.density and seq.kind != "standard":
-        raise ConfigError("--density is defined for the standard sequence only")
+        raise ValueError("--density is defined for the standard sequence only")
     if ns.density:  # no eigensolve for a density over the cap
         _index(state, "density level", cap=DENSITY_LEVEL_CAP)
     measure = reconstruct_state_measure(seq, state, dim, scale=scale)
@@ -432,7 +419,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
 
 
 def cmd_classical(ns: argparse.Namespace) -> int:
-    a2 = _parse_positive(ns.A2, "--A2")
+    a2 = _as_positive(ns.A2, "--A2")
     orders = _parse_int_list(ns.orders, "--orders")
     panels = _parse_single_int(ns.panels, "--panels", least=16)
 
@@ -480,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CapExceeded, EigensolverFailure, TruncationTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

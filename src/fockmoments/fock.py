@@ -91,12 +91,29 @@ def _shown(value: Fraction) -> str:
         return f"a number of more than {sys.get_int_max_str_digits():,} digits"
 
 
+def _as_rational(value: Union[int, str, Fraction], name: str) -> Fraction:
+    """``as_fraction(value)``, its ValueError prefixed with ``name``."""
+    try:
+        return as_fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _as_positive(value: Union[int, str, Fraction], name: str) -> Fraction:
-    """``as_fraction(value)``; ValueError naming it when it is not positive."""
-    v = as_fraction(value)
+    """The one rule for a positive rational (a scale, A^2, a weight):
+    ``as_fraction(value)``, or a ValueError naming it."""
+    v = _as_rational(value, name)
     if v <= 0:
         raise ValueError(f"{name} must be positive, got {_shown(v)}")
     return v
+
+
+def _as_q(value: Union[int, str, Fraction]) -> Fraction:
+    """``value`` as a deformation q; ValueError unless it lies in [0, 1]."""
+    q = _as_rational(value, "q")
+    if not 0 <= q <= 1:
+        raise ValueError(f"q must lie in [0, 1], got {_shown(q)}")
+    return q
 
 
 def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
@@ -104,9 +121,7 @@ def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
 
     ``q`` must lie in [0, 1].  [0]_q = 0, and [n]_1 = n.
     """
-    qf = as_fraction(q)
-    if not 0 <= qf <= 1:
-        raise ValueError(f"q must lie in [0, 1], got {_shown(qf)}")
+    qf = _as_q(q)
     _index(n, "q-integer index")
     if qf == 1:
         return Fraction(n)
@@ -128,8 +143,9 @@ class JacobiSequence:
     - ``"q"``: omega_n = [n]_q for a rational deformation q in [0, 1]
     - ``"explicit"``: a finite list of positive rationals
 
-    ``q`` and each weight are coerced through ``as_fraction``, so a float
-    is refused and any iterable of weights becomes a tuple.
+    The constructor alone decides what a sequence may hold: ``q`` and
+    each weight ``omega_i`` obey the rational rule, and any iterable of
+    weights but a string becomes a tuple (an empty one too).
     """
 
     kind: str
@@ -137,27 +153,25 @@ class JacobiSequence:
     omegas: tuple[Fraction, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.q is not None:
-            object.__setattr__(self, "q", as_fraction(self.q))
-        object.__setattr__(self, "omegas", tuple(map(as_fraction, self.omegas)))
+        if isinstance(self.omegas, str):
+            raise ValueError(f"weights must be a list, got {self.omegas!r}")
+        object.__setattr__(self, "omegas", tuple(self.omegas))
         if self.kind == "standard":
             if self.q is not None or self.omegas:
                 raise ValueError("standard sequences take no parameters")
         elif self.kind == "q":
             if self.q is None:
                 raise ValueError("q-deformed sequences need a deformation q")
-            if not 0 <= self.q <= 1:
-                raise ValueError(f"q must lie in [0, 1], got {_shown(self.q)}")
             if self.omegas:
                 raise ValueError("q-deformed sequences take no explicit list")
+            object.__setattr__(self, "q", _as_q(self.q))
         elif self.kind == "explicit":
             if self.q is not None:
                 raise ValueError("explicit sequences take no deformation q")
-            for i, w in enumerate(self.omegas):
-                if w <= 0:
-                    raise ValueError(
-                        f"omega_{i + 1} must be positive, got {_shown(w)}"
-                    )
+            weights = enumerate(self.omegas, 1)
+            object.__setattr__(self, "omegas", tuple(
+                _as_positive(w, f"omega_{i}") for i, w in weights
+            ))
         else:
             raise ValueError(f"unknown Jacobi sequence kind: {self.kind!r}")
 
@@ -205,17 +219,12 @@ class JacobiSequence:
         for name in obj:
             if name not in ("kind", *_JSON_FIELDS[kind]):
                 raise ValueError(f"kind {kind!r} takes no field {name!r}")
-        if kind == "standard":
-            return JacobiSequence.standard()
-        if kind == "q":
-            if "q" not in obj:
-                raise ValueError("kind 'q' requires a field 'q'")
-            return JacobiSequence.q_deformed(obj["q"])
-        if "omega" not in obj or not isinstance(obj["omega"], list):
-            raise ValueError("kind 'explicit' requires a list field 'omega'")
-        if not obj["omega"]:
-            raise ValueError("explicit list is empty")
-        return JacobiSequence.explicit(obj["omega"])
+        if kind == "explicit":
+            if not isinstance(obj.get("omega"), list):
+                raise ValueError("kind 'explicit' requires a list field 'omega'")
+            if not obj["omega"]:
+                raise ValueError("explicit list is empty")
+        return JacobiSequence(kind, obj.get("q"), obj.get("omega", ()))
 
     def to_json(self) -> dict:
         """JSON description, inverse of ``from_json``."""

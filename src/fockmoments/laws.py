@@ -84,8 +84,8 @@ def classical_moment_quadrature(
     uniform mean over panel points and converges spectrally.  Requires
     panels >= 16.
     """
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    if not 0 < amplitude < math.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {amplitude!r}")
     _index(order, "moment order")
     _index(panels, "panels", least=16)
     total = 0.0

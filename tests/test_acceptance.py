@@ -61,8 +61,12 @@ def run_cmd(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "fockmoments", *args],
         capture_output=True,
-        # the package from this source tree, installed or not
-        env={**os.environ, "PYTHONPATH": str(Path(fockmoments.__file__).parents[1])},
+        # the package from this source tree, installed or not; a warning fails
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(fockmoments.__file__).parents[1]),
+            "PYTHONWARNINGS": "error",
+        },
         timeout=300,
     )
 

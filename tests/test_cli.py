@@ -14,15 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockmoments
-from fockmoments.cli import ConfigError, main, parse_jacobi
+from fockmoments.cli import main, parse_jacobi
 from fockmoments.fock import JacobiSequence
 
 
 BIG = "1" + "0" * 400
 
-# lets a subprocess import the package from this source tree, installed or not
+# lets a subprocess import the package from this source tree, installed or
+# not, and makes any warning in it an error
 SUBPROCESS_ENV = {
-    **os.environ, "PYTHONPATH": str(Path(fockmoments.__file__).resolve().parents[1])
+    **os.environ,
+    "PYTHONPATH": str(Path(fockmoments.__file__).resolve().parents[1]),
+    "PYTHONWARNINGS": "error",
 }
 
 # rationals past the float range, each with the name its error line gives
@@ -747,12 +750,27 @@ def test_density_cap_checked_before_eigensolve(capsys, monkeypatch):
          "balanced-word half-length 13 exceeds the cap 12"),
         (["reconstruct", "--K", "4097"], 3,
          "truncation dimension 4097 exceeds the cap 4096"),
+        # every order's cap is checked before the first sum
+        (["moments", "--engine", "words", "--N", "12", "--orders", "24,26"], 3,
+         "balanced-word half-length 13 exceeds the cap 12"),
     ],
 )
 def test_integer_flag_errors(capsys, monkeypatch, tmp_path, args, code, line):
+    import fockmoments.moments
+
+    summed = []
+    real = fockmoments.moments.moment_by_words
+
+    def recorder(*call, **kwargs):
+        value = real(*call, **kwargs)
+        summed.append(call)  # a sum that ran to the end
+        return value
+
+    monkeypatch.setattr(fockmoments.moments, "moment_by_words", recorder)
     monkeypatch.chdir(tmp_path)
     err = _one_line_error(capsys, tmp_path, args, code, line)
     assert err == f"error: {line}\n"
+    assert summed == []
 
 
 # the integer flags of each command, and its formats
@@ -852,6 +870,131 @@ def test_integer_flags_exit_by_the_one_rule(case):
         assert "error:" not in err
 
 
+# positive rationals as typed, and text the rational rule refuses
+POSITIVE_TEXTS = st.one_of(
+    st.integers(1, 40).map(str),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)).map("{0[0]}/{0[1]}".format),
+    st.sampled_from(["0.5", "2.25", " 5/3 ", "1e400", "1e-400", "1/1" + "0" * 400]),
+)
+REFUSED_TEXTS = st.one_of(
+    st.integers(-40, 0).map(str),
+    st.sampled_from([
+        "0.0", "-0", "-3/6", "-1e400", "x", "", "1/0", "nan", "inf", "True", "1//2",
+    ]),
+)
+# a weight that explicit: refuses (an empty one is dropped, not refused)
+REFUSED_WEIGHTS = st.sampled_from(["0", "-2", "-3/6", "x", "nan", "1/0", "0.0"])
+# JSON descriptions, and whether each is refused: a field missing, null,
+# extra or of the wrong type
+JSON_JACOBI = [
+    ('{"kind":"standard"}', False),
+    ('{"kind":"q","q":"1/2"}', False),
+    ('{"kind":"q","q":0}', False),
+    ('{"kind":"explicit","omega":["1","3/2",2]}', False),
+    ('{"kind":"q"}', True),
+    ('{"kind":"q","q":null}', True),
+    ('{"kind":"standard","q":"1/2"}', True),
+    ('{"kind":"q","q":0.5}', True),
+    ('{"kind":"q","q":["1/2"]}', True),
+    ('{"kind":"q","q":"3/2"}', True),
+    ('{"kind":"explicit"}', True),
+    ('{"kind":"explicit","omega":"12"}', True),
+    ('{"kind":"explicit","omega":[]}', True),
+    ('{"kind":"explicit","omega":[1.5]}', True),
+    ('{"kind":"explicit","omega":[true]}', True),
+    ('{"kind":"explicit","omega":["1",null]}', True),
+    ('{"kind":1}', True),
+    ('["standard"]', True),
+    ("{", True),
+]
+Q_VALUES = [
+    ("0", False), ("1", False), ("1/2", False), ("0.25", False), ("3/2", True),
+    ("-1/2", True), ("x", True), ("", True), ("1e400", True),
+]
+# the rational flags of each command, in the order it parses them
+RATIONAL_FLAGS = {
+    "moments": ("--jacobi", "--scale"),
+    "converge": ("--jacobi", "--scale"),
+    "reconstruct": ("--jacobi", "--scale"),
+    "classical": ("--A2",),
+}
+
+
+@st.composite
+def _jacobi_values(draw):
+    """A --jacobi value and whether the rational rule refuses it."""
+    form = draw(st.sampled_from(["standard", "q", "explicit", "json"]))
+    if form == "standard":
+        return "standard", False
+    if form == "q":
+        q, refused = draw(st.sampled_from(Q_VALUES))
+        return f"q={q}", refused
+    if form == "json":
+        return draw(st.sampled_from(JSON_JACOBI))
+    weights = draw(st.lists(POSITIVE_TEXTS, min_size=1, max_size=4))
+    refused = draw(st.booleans())
+    if refused:
+        weights.insert(draw(st.integers(0, len(weights))), draw(REFUSED_WEIGHTS))
+    elif draw(st.booleans()):
+        weights = []  # explicit: with no weight
+        refused = True
+    return "explicit:" + ",".join(weights), refused
+
+
+@st.composite
+def _rational_argvs(draw):
+    """An argv with good integer flags, and the first rational flag it
+    parses that the rule refuses, if any."""
+    command = draw(st.sampled_from(sorted(RATIONAL_FLAGS)))
+    argv = [command, "--format", draw(st.sampled_from(FORMATS[command]))]
+    for flag in INT_FLAGS[command]:
+        argv.append(f"{flag}={draw(GOOD_VALUES[flag])}")
+    if command == "moments":
+        argv.append("--engine=" + draw(st.sampled_from(["tridiagonal", "words"])))
+    if command == "reconstruct" and draw(st.booleans()):
+        argv.append("--density")
+    refused_flag = None
+    for flag in RATIONAL_FLAGS[command]:
+        if flag == "--jacobi":
+            value, refused = draw(_jacobi_values())
+        elif flag == "--scale" and draw(st.booleans()):
+            value, refused = "canonical", False
+        else:
+            refused = draw(st.booleans())
+            value = draw(REFUSED_TEXTS if refused else POSITIVE_TEXTS)
+        argv.append(f"{flag}={value}")
+        if refused and refused_flag is None:
+            refused_flag = flag
+    return argv, refused_flag
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rational_argvs())
+def test_rational_flags_exit_by_the_one_rule(case):
+    argv, refused_flag = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert "error:" not in err
+    # the rule's messages are "<flag>: <why>" and "<flag> must ..."
+    by_rule = any(
+        err.startswith(f"error: {flag}{sep}")
+        for flag in RATIONAL_FLAGS[argv[0]]
+        for sep in (": ", " must ")
+    )
+    if refused_flag:
+        assert code == 2 and by_rule
+        assert err.startswith(f"error: {refused_flag}")
+    else:
+        assert not by_rule
+
+
 def test_minimal_explicit_list_same_on_both_engines(capsys):
     # omega_1, omega_2 are every weight a length-4 walk from level 0 reads
     args = ["moments", "--jacobi", "explicit:1,2", "--N", "0", "--orders", "4"]
@@ -896,7 +1039,7 @@ def test_parse_jacobi_forms():
         '{"kind": "explicit", "omega": ["1", "3/2", "2"]}'
     ).omegas
     for bad in ("", "quux", "q=", "q=x", "explicit:", "{", '{"kind": "z"}'):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_jacobi(bad)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockmoments.cli import main
 from fockmoments.fock import (
     CapExceeded,
     JacobiSequence,
@@ -46,28 +49,89 @@ from fockmoments.spectral import (
 
 # a negative rational past the interpreter's 4,300-digit string limit
 HUGE_NEGATIVE = Fraction(-10**5000)
+HUGE_TAIL = " must be positive, got a number of more than 4,300 digits"
 
 
-@pytest.mark.parametrize(
-    "call, name",
-    [
-        (lambda v: moment_by_words(STANDARD, 2, 2, scale=v), "scale"),
-        (lambda v: moments_by_walk(STANDARD, 2, [2], scale=v), "scale"),
-        (lambda v: convergence_table(STANDARD, [1], [2], scale=v), "scale"),
-        (lambda v: reconstruct_state_measure(STANDARD, 2, 10, scale=v), "scale"),
-        (lambda v: classical_moment(v, 2), "squared amplitude"),
-    ],
-    ids=["moment_by_words", "moments_by_walk", "convergence_table",
-         "reconstruct_state_measure", "classical_moment"],
-)
-def test_nonpositive_value_error_names_a_long_number(call, name):
-    with pytest.raises(ValueError) as info:
-        call(HUGE_NEGATIVE)
-    assert str(info.value) == (
-        f"{name} must be positive, got a number of more than 4,300 digits"
-    )
-    with pytest.raises(ValueError, match=f"^{name} must be positive, got -3/2$"):
-        call(Fraction(-3, 2))
+def _flag(*argv):
+    """A call that runs ``cli.main`` on argv with ``=value`` joined to its
+    last flag, checks for exit 2 with one error line and nothing on
+    stdout, and raises that line as a ValueError."""
+
+    def call(value):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv[:-1], f"{argv[-1]}={value}"])
+        line = err.getvalue()
+        assert (code, out.getvalue()) == (2, "")
+        assert line.startswith("error: ") and line.count("\n") == 1
+        raise ValueError(line[len("error: "):-1])
+
+    return call
+
+
+# every site a rational argument enters by, with the name it is refused under
+RATIONAL_SITES = [
+    ("moment_by_words", lambda v: moment_by_words(STANDARD, 2, 2, scale=v), "scale"),
+    ("moments_by_walk", lambda v: moments_by_walk(STANDARD, 2, [2], scale=v), "scale"),
+    ("convergence_table", lambda v: convergence_table(STANDARD, [1], [2], scale=v),
+     "scale"),
+    ("reconstruct_state_measure",
+     lambda v: reconstruct_state_measure(STANDARD, 2, 10, scale=v), "scale"),
+    ("classical_moment", lambda v: classical_moment(v, 2), "squared amplitude"),
+    ("explicit", lambda v: JacobiSequence.explicit(["1", v]), "omega_2"),
+    ("q_deformed", JacobiSequence.q_deformed, "q"),
+    ("q_integer", lambda v: q_integer(3, v), "q"),
+]
+# refused values, each with the message that follows the name
+REFUSED_RATIONALS = [
+    ("float", 0.5, ": floats are not exact, pass a 'p/q' string instead of 0.5"),
+    ("bool", True, ": expected a rational number, got a bool"),
+    ("junk", "x", ": not a rational 'p/q' string: 'x'"),
+    ("zero", 0, " must be positive, got 0"),
+    ("unreduced", "-3/6", " must be positive, got -1/2"),
+    ("negative", Fraction(-3, 2), " must be positive, got -3/2"),
+    ("huge", HUGE_NEGATIVE, HUGE_TAIL),
+]
+# the same on the command line, where a value is always text
+FLAG_SITES = [
+    ("--scale", _flag("moments", "--N", "2", "--orders", "2", "--scale")),
+    ("--A2", _flag("classical", "--orders", "2", "--A2")),
+]
+REFUSED_TEXTS = [
+    ("bool", "True", ": not a rational 'p/q' string: 'True'"),
+    ("junk", "x", ": not a rational 'p/q' string: 'x'"),
+    ("zero", "0", " must be positive, got 0"),
+    ("float-zero", "0.0", " must be positive, got 0"),
+    ("unreduced", "-3/6", " must be positive, got -1/2"),
+    ("huge", "-1e5000", HUGE_TAIL),
+]
+
+
+def _rational_cases():
+    for site, call, name in RATIONAL_SITES:
+        cases = REFUSED_RATIONALS
+        if name == "q":  # q may be 0, and must lie in [0, 1]
+            cases = [
+                (label, value, tail.replace("must be positive", "must lie in [0, 1]"))
+                for label, value, tail in cases
+                if value != 0
+            ]
+        yield pytest.param(call, name, cases, id=site)
+    for name, call in FLAG_SITES:
+        yield pytest.param(call, name, REFUSED_TEXTS, id=name)
+    # a string is not a list of weights
+    string = [("string", "12", " must be a list, got '12'")]
+    yield pytest.param(JacobiSequence.explicit, "weights", string, id="explicit-string")
+    yield pytest.param(lambda v: JacobiSequence(kind="explicit", omegas=v),
+                       "weights", string, id="constructor-string")
+
+
+@pytest.mark.parametrize("call, name, cases", _rational_cases())
+def test_nonpositive_value_error_names_a_long_number(call, name, cases):
+    for label, value, tail in cases:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == name + tail, label
 
 
 def test_as_fraction_accepts_exact_forms():

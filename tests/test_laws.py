@@ -116,6 +116,14 @@ def test_classical_quadrature_validation():
         classical_moment_quadrature(-1.0, 2)
     with pytest.raises(ValueError):
         classical_moment_quadrature(1.0, -2)
+    # NaN passes a plain "<= 0" test, and both gave a result or an overflow
+    for amplitude in (math.nan, math.inf, 0.0):
+        for order in (0, 2):
+            with pytest.raises(
+                ValueError,
+                match=rf"^amplitude must be positive and finite, got {amplitude!r}$",
+            ):
+                classical_moment_quadrature(amplitude, order)
 
 
 def test_validate_moments_accepts_genuine_sequences():
