@@ -256,15 +256,9 @@ def cmd_converge(ns: argparse.Namespace) -> int:
     # fails with nothing written
     series = []
     if ns.plot:
-        for order in sorted(set(orders)):
-            name = f"order {order} abs_diff"
-            pts = [
-                (float(r.state), to_float(r.abs_diff, f"{name} at N = {r.state}"))
-                for r in rows
-                if r.order == order and r.abs_diff > 0
-            ]
-            if pts:
-                series.append((f"order {order}", pts))
+        from .svgplot import _convergence_series
+
+        series = _convergence_series(rows, orders)
     names = ("scaled_moment", "target", "abs_diff", "env_lo", "env_hi")
     meta = None
     if ns.format == "json":
@@ -283,13 +277,8 @@ def cmd_converge(ns: argparse.Namespace) -> int:
     if series:
         from .svgplot import line_plot
 
-        svg = line_plot(
-            series,
-            title="Distance to arcsine moments",
-            xlabel="N",
-            ylabel="|scaled moment - target|",
-            loglog=True,
-        )
+        title, ylabel = "Distance to arcsine moments", "|scaled moment - target|"
+        svg = line_plot(series, title=title, xlabel="N", ylabel=ylabel, loglog=True)
         Path(ns.plot).write_text(svg, encoding="utf-8")
     elif ns.plot:
         print(
@@ -382,38 +371,9 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
         _emit(ns, "\n".join(lines) + "\n")
 
     if ns.plot:
-        from .laws import arcsine_density
-        from .svgplot import line_plot
+        from .svgplot import _reconstruction_plot
 
-        # weight over the mean distance to the neighbouring atoms
-        xs = [x for x, _ in measure.atoms]
-        last = len(xs) - 1
-        est = []
-        for i, (x, w) in enumerate(measure.atoms):
-            lo, hi = max(i - 1, 0), min(i + 1, last)
-            gap = (xs[hi] - xs[lo]) / (hi - lo) if last else 1.0
-            est.append((x, w / gap))
-        series: list[tuple[str, list[tuple[float, float]]]] = [
-            ("reconstruction", est)
-        ]
-        edge = math.sqrt(2.0) - 0.02
-        series.append(
-            (
-                "arcsine",
-                [
-                    (x, arcsine_density(x))
-                    for x in (-edge + 2 * edge * i / 200 for i in range(201))
-                ],
-            )
-        )
-        if density_pts is not None:
-            series.append(("state density", density_pts))
-        svg = line_plot(
-            series,
-            title=f"Spectral reconstruction, N = {state}, K = {dim}",
-            xlabel="x",
-            ylabel="density",
-        )
+        svg = _reconstruction_plot(measure.atoms, density_pts, state, dim)
         Path(ns.plot).write_text(svg, encoding="utf-8")
     return 0
 
@@ -426,6 +386,8 @@ def cmd_classical(ns: argparse.Namespace) -> int:
     from .laws import classical_moment, classical_moment_quadrature
 
     amplitude = math.sqrt(to_float(a2, "--A2"))
+    if amplitude == 0.0:
+        raise ValueError("--A2 is too small for a float")
     rows = []
     for order in orders:
         exact = classical_moment(a2, order)

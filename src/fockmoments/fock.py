@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
@@ -133,8 +132,37 @@ def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
 _JSON_FIELDS = {"standard": (), "q": ("q",), "explicit": ("omega",)}
 
 
-@dataclass(frozen=True)
-class JacobiSequence:
+class _Value:
+    """A value whose fields are its ``__slots__``: immutable, hashable,
+    picklable, equal only to the same class with equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class JacobiSequence(_Value):
     """A positive rational Jacobi sequence omega_1, omega_2, ...
 
     kind is one of:
@@ -148,32 +176,33 @@ class JacobiSequence:
     weights but a string becomes a tuple (an empty one too).
     """
 
-    kind: str
-    q: Fraction | None = None
-    omegas: tuple[Fraction, ...] = field(default=())
+    __slots__ = ("kind", "q", "omegas")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.omegas, str):
-            raise ValueError(f"weights must be a list, got {self.omegas!r}")
-        object.__setattr__(self, "omegas", tuple(self.omegas))
-        if self.kind == "standard":
-            if self.q is not None or self.omegas:
+    def __init__(
+        self, kind: str, q: Union[int, str, Fraction, None] = None, omegas: Sequence = ()
+    ) -> None:
+        if isinstance(omegas, str):
+            raise ValueError(f"weights must be a list, got {omegas!r}")
+        omegas = tuple(omegas)
+        if kind == "standard":
+            if q is not None or omegas:
                 raise ValueError("standard sequences take no parameters")
-        elif self.kind == "q":
-            if self.q is None:
+        elif kind == "q":
+            if q is None:
                 raise ValueError("q-deformed sequences need a deformation q")
-            if self.omegas:
+            if omegas:
                 raise ValueError("q-deformed sequences take no explicit list")
-            object.__setattr__(self, "q", _as_q(self.q))
-        elif self.kind == "explicit":
-            if self.q is not None:
+            q = _as_q(q)
+        elif kind == "explicit":
+            if q is not None:
                 raise ValueError("explicit sequences take no deformation q")
-            weights = enumerate(self.omegas, 1)
-            object.__setattr__(self, "omegas", tuple(
-                _as_positive(w, f"omega_{i}") for i, w in weights
-            ))
+            weights = enumerate(omegas, 1)
+            omegas = tuple(_as_positive(w, f"omega_{i}") for i, w in weights)
         else:
-            raise ValueError(f"unknown Jacobi sequence kind: {self.kind!r}")
+            raise ValueError(f"unknown Jacobi sequence kind: {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "omegas", omegas)
 
     @staticmethod
     def standard() -> "JacobiSequence":
@@ -193,7 +222,6 @@ class JacobiSequence:
         if self.kind == "standard":
             return Fraction(n)
         if self.kind == "q":
-            assert self.q is not None
             return q_integer(n, self.q)
         if n > len(self.omegas):
             raise ValueError(
@@ -289,18 +317,18 @@ _LETTER_CHARS = {Letter.ANNIHILATE: "a", Letter.CREATE: "c"}
 _CHAR_LETTERS = {"a": Letter.ANNIHILATE, "c": Letter.CREATE}
 
 
-@dataclass(frozen=True)
-class LadderWord:
+class LadderWord(_Value):
     """A finite word in the ladder letters, applied rightmost letter first."""
 
-    letters: tuple[Letter, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: tuple[Letter, ...]) -> None:
+        if not letters:
             raise ValueError("ladder words must have length >= 1")
-        for ch in self.letters:
+        for ch in letters:
             if not isinstance(ch, Letter):
                 raise ValueError(f"not a ladder letter: {ch!r}")
+        object.__setattr__(self, "letters", letters)
 
     @staticmethod
     def from_string(text: str) -> "LadderWord":

@@ -22,7 +22,6 @@ stays O(K).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -31,6 +30,7 @@ from .fock import (
     JacobiSequence,
     STANDARD,
     TruncationTooSmall,
+    _Value,
     _as_positive,
     _index,
     state_index,
@@ -324,29 +324,29 @@ def eigendecompose(
     return eigenvalues, squared
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_Value):
     """A finitely supported probability measure on the real line.
 
     Atoms are (location, weight) pairs with strictly increasing
     locations, nonnegative weights, and total mass 1 within 1e-12.
     """
 
-    atoms: tuple[tuple[float, float], ...]
+    __slots__ = ("atoms",)
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(self, atoms: tuple[tuple[float, float], ...]) -> None:
+        if not atoms:
             raise ValueError("a discrete measure needs at least one atom")
         last = None
-        for x, w in self.atoms:
+        for x, w in atoms:
             if last is not None and not x > last:
                 raise ValueError(f"atom locations must strictly increase at {x!r}")
             if w < 0.0:
                 raise ValueError(f"atom weight must be >= 0, got {w!r} at {x!r}")
             last = x
-        total = math.fsum(w for _, w in self.atoms)
+        total = math.fsum(w for _, w in atoms)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
+        object.__setattr__(self, "atoms", atoms)
 
     def moment(self, order: int) -> float:
         _index(order, "moment order")

@@ -3,6 +3,8 @@
 Produces standalone SVG markup from (label, points) series.  Output is a
 pure function of the input: coordinates are formatted with fixed
 precision and nothing (timestamps, ids, randomness) varies between runs.
+The series of the CLI's ``--plot`` files are built here too, so a call
+without ``--plot`` never loads them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import html
 import math
 from functools import partial
 from typing import Sequence
+
+from .fock import to_float
+from .laws import arcsine_density
 
 # & < > only, as text nodes need; xml.sax.saxutils would import urllib
 escape = partial(html.escape, quote=False)
@@ -155,3 +160,42 @@ def line_plot(
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _convergence_series(rows: Sequence, orders: Sequence[int]) -> list[Series]:
+    """``converge --plot``: |scaled moment - target| against N per order,
+    from ``convergence_table`` rows, without the zeros a log axis drops."""
+    series = []
+    for order in sorted(set(orders)):
+        name = f"order {order} abs_diff"
+        pts = [
+            (float(r.state), to_float(r.abs_diff, f"{name} at N = {r.state}"))
+            for r in rows
+            if r.order == order and r.abs_diff > 0
+        ]
+        if pts:
+            series.append((f"order {order}", pts))
+    return series
+
+
+def _reconstruction_plot(
+    atoms: Sequence, density: Sequence | None, state: int, dim: int
+) -> str:
+    """``reconstruct --plot``: the atoms' density estimate, the arcsine
+    density and, when given, the state density."""
+    # weight over the mean distance to the neighbouring atoms
+    xs = [x for x, _ in atoms]
+    last = len(xs) - 1
+    est = []
+    for i, (x, w) in enumerate(atoms):
+        lo, hi = max(i - 1, 0), min(i + 1, last)
+        gap = (xs[hi] - xs[lo]) / (hi - lo) if last else 1.0
+        est.append((x, w / gap))
+    edge = math.sqrt(2.0) - 0.02
+    grid = (-edge + 2 * edge * i / 200 for i in range(201))
+    arcsine = [(x, arcsine_density(x)) for x in grid]
+    series = [("reconstruction", est), ("arcsine", arcsine)]
+    if density is not None:
+        series.append(("state density", density))
+    title = f"Spectral reconstruction, N = {state}, K = {dim}"
+    return line_plot(series, title=title, xlabel="x", ylabel="density")

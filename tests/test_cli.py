@@ -40,6 +40,7 @@ FLOAT_RANGE_CASES = [
     (["classical", "--A2", "1e300", "--orders", "4"], "order 4"),
     (["converge", "--N", "1,2", "--orders", "2", "--scale", "1/" + BIG,
       "--plot", "x.svg"], "order 2 abs_diff at N = 1"),
+    (["classical", "--A2=1e-400", "--orders", "2"], "--A2"),
 ]
 
 # output paths that cannot be written, relative to an empty directory
@@ -1120,3 +1121,34 @@ def test_command_imports_only_what_it_runs(tmp_path, args, loaded, uses_json):
     assert code == "0"
     assert set(modules.split(",")) == {"cli", "fock"} | loaded
     assert json_imported == str(uses_json)
+
+
+# every command in one interpreter; start-up costs past what the package
+# needs, which stay loaded once a command has imported them
+STARTUP_ARGVS = [
+    ["--version"],
+    ["moments", "--N", "4", "--orders", "0,2,4,6"],
+    ["converge", "--N", "1,10,100", "--plot", "c.svg"],
+    ["reconstruct", "--N", "2", "--K", "64", "--plot", "r.svg"],
+    ["classical", "--format", "json"],
+    ["selfcheck", "--fast"],
+]
+_REPORT_STARTUP = """
+import sys
+before = set(sys.modules)
+from fockmoments import cli
+report = []
+for argv in ARGVS:
+    code = cli.main(argv)
+    report.append((code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+print(report, file=sys.stderr)
+"""
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    script = f"ARGVS = {STARTUP_ARGVS!r}" + _REPORT_STARTUP
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, cwd=tmp_path, env=SUBPROCESS_ENV, timeout=120,
+    )
+    assert proc.stderr.splitlines()[-1] == repr([(0, [])] * len(STARTUP_ARGVS))

@@ -1,6 +1,8 @@
 import contextlib
+import copy
 import io
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -456,6 +458,54 @@ def test_ladder_word_parsing():
         LadderWord(())
     with pytest.raises(ValueError):
         LadderWord(("a",))
+
+
+A, C = Letter.ANNIHILATE, Letter.CREATE
+# each value class: a value, the same value built by keyword, its field
+# names and its exact repr
+VALUE_CASES = [
+    (JacobiSequence("q", Fraction(1, 2)), JacobiSequence(kind="q", q="1/2"),
+     ("kind", "q", "omegas"),
+     "JacobiSequence(kind='q', q=Fraction(1, 2), omegas=())"),
+    (JacobiSequence("explicit", None, ["1", "3/2"]),
+     JacobiSequence(kind="explicit", omegas=iter([1, Fraction(3, 2)])),
+     ("kind", "q", "omegas"),
+     "JacobiSequence(kind='explicit', q=None, "
+     "omegas=(Fraction(1, 1), Fraction(3, 2)))"),
+    (LadderWord((A, C)), LadderWord(letters=(A, C)), ("letters",),
+     "LadderWord(letters=(<Letter.ANNIHILATE: 0>, <Letter.CREATE: 1>))"),
+    (DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5))),
+     DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5))), ("atoms",),
+     "DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5)))"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, by_keyword, fields, text", VALUE_CASES,
+    ids=["q-sequence", "explicit-sequence", "ladder-word", "measure"],
+)
+def test_value_classes_are_immutable_hashable_and_picklable(
+    value, by_keyword, fields, text
+):
+    assert value == by_keyword and value is not by_keyword
+    assert hash(value) == hash(by_keyword) and len({value, by_keyword}) == 1
+    as_tuple = tuple(getattr(value, name) for name in fields)
+    assert value != as_tuple and as_tuple != value
+    assert repr(value) == text
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == as_tuple
+    copies = [copy.copy(value), copy.deepcopy(value)] + [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+        assert repr(other) == text
 
 
 def test_balanced_word_counts():
