@@ -1123,8 +1123,9 @@ def test_command_imports_only_what_it_runs(tmp_path, args, loaded, uses_json):
     assert json_imported == str(uses_json)
 
 
-# every command in one interpreter; start-up costs past what the package
-# needs, which stay loaded once a command has imported them
+# every command runs in one interpreter: a module one of them imports
+# stays in sys.modules, so the report after each command shows whether it
+# or an earlier one loaded dataclasses or inspect, which site does not
 STARTUP_ARGVS = [
     ["--version"],
     ["moments", "--N", "4", "--orders", "0,2,4,6"],
