@@ -282,7 +282,7 @@ def cmd_converge(ns: argparse.Namespace) -> int:
         Path(ns.plot).write_text(svg, encoding="utf-8")
     elif ns.plot:
         print(
-            "note: all differences are exactly zero, no plot written",
+            "note: no nonzero difference at N >= 1, no plot written",
             file=sys.stderr,
         )
     return 0

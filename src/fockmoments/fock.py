@@ -17,7 +17,7 @@ import itertools
 import sys
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 # Balanced-word enumeration is capped at this half-length m, i.e. at
 # C(2m, m) = 2704156 words, to guard against combinatorial blowup.
@@ -318,11 +318,14 @@ _CHAR_LETTERS = {"a": Letter.ANNIHILATE, "c": Letter.CREATE}
 
 
 class LadderWord(_Value):
-    """A finite word in the ladder letters, applied rightmost letter first."""
+    """A finite word in the ladder letters, applied rightmost letter first.
+
+    Any iterable of letters is stored as a tuple."""
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[Letter, ...]) -> None:
+    def __init__(self, letters: Iterable[Letter]) -> None:
+        letters = tuple(letters)
         if not letters:
             raise ValueError("ladder words must have length >= 1")
         for ch in letters:
@@ -334,7 +337,7 @@ class LadderWord(_Value):
     def from_string(text: str) -> "LadderWord":
         """Parse a word from 'a'/'c' characters, e.g. ``"acca"``."""
         try:
-            return LadderWord(tuple(_CHAR_LETTERS[ch] for ch in text))
+            return LadderWord(_CHAR_LETTERS[ch] for ch in text)
         except KeyError as exc:
             raise ValueError(f"word characters must be 'a' or 'c': {text!r}") from exc
 
@@ -367,5 +370,5 @@ def enumerate_balanced_words(m: int) -> list[LadderWord]:
         letters = [Letter.CREATE] * (2 * m)
         for i in spots:
             letters[i] = Letter.ANNIHILATE
-        words.append(LadderWord(tuple(letters)))
+        words.append(LadderWord(letters))
     return words

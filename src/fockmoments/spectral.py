@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .fock import (
     EigensolverFailure,
@@ -150,7 +150,12 @@ def _golub_kahan(
     the full weight u_i^2 (0 for a level of the other parity).
     Implicit-shift Golub-Kahan QR (Golub & Van Loan, Sec. 8.6) deflates
     from the small end, tracking only the row of U or V that holds the
-    level.  Returns the eigenvalues and squared entries, unsorted.
+    level.  The chase down the block l..m writes each d[k] and e[k-1],
+    l < k < m, as a hypot, and applies to them at once the split test
+    |e[k-1]| + |d[k-1]| + |d[k]| == |d[k-1]| + |d[k]|, so the next sweep
+    starts at the largest k that passes, or rescans only from l down;
+    the blocks are those of a full scan before every sweep.  Returns the
+    eigenvalues and squared entries, unsorted.
     """
     dim = len(offdiag) + 1
     c = [float(x) for x in reversed(offdiag)]
@@ -169,13 +174,21 @@ def _golub_kahan(
 
     m = n - 1
     sweeps = 0
+    # the largest split the last chase found in its block, 0 for none, -1
+    # once d or e changed outside a chase
+    l = split = -1
     while m > 0:
         dd = abs(d[m - 1]) + abs(d[m])
         if abs(e[m - 1]) + dd == dd:
             m -= 1
             sweeps = 0
             continue
-        l = m - 1
+        # with no split found the chase changed only d[l] of what the scan
+        # below reads at l and under, so it resumes there
+        if 0 < split < m:
+            l = split
+        elif split or l >= m:
+            l = m - 1
         while l > 0:
             dd = abs(d[l - 1]) + abs(d[l])
             if abs(e[l - 1]) + dd == dd:
@@ -200,6 +213,7 @@ def _golub_kahan(
                     d[i] = 0.0
         if 0.0 in d[l:m + 1]:
             _free_zero(d, e, l, m, zr, right)
+            split = -1
             continue
         # Wilkinson shift sigma^2: the eigenvalue of the trailing 2x2 block
         # of B^T B nearer its last diagonal entry, taken in units of the
@@ -226,50 +240,69 @@ def _golub_kahan(
         unit = max(abs(dk), sigma)
         y = (abs(dk) - sigma) * ((abs(dk) + sigma) / unit)
         h = dk * (ek / unit)
-        for k in range(l, m):
-            # dk, ek hold the current d[k], e[k]
-            # from the right on columns k, k + 1: zero h against y
+        # dk, ek hold the current d[k], e[k] and z the current zr[k]; the
+        # loop turns rows k - 1, k from the left, then columns k, k + 1 from
+        # the right, so the first and the last rotation stand outside it
+        r = hypot(y, h)
+        cs = y / r if r else 1.0
+        sn = h / r if r else 0.0
+        dk1 = d[l + 1]
+        f = cs * dk + sn * ek
+        ek = cs * ek - sn * dk
+        h = sn * dk1
+        dk1 *= cs
+        z = zr[l]
+        if right:
+            b = zr[l + 1]
+            zr[l], z = cs * z + sn * b, cs * b - sn * z
+        # once d[k - 1] is written, it, prev = d[k - 2] and off = e[k - 2]
+        # are final and nonnegative: test the split at k - 1 there; off
+        # starts as a NaN, which fails the test at l
+        split, prev, off = 0, 0.0, math.nan
+        for k in range(l + 1, m):
+            # zero the bulge h against f
+            r = hypot(f, h)
+            cs = f / r if r else 1.0
+            sn = h / r if r else 0.0
+            d[k - 1] = r
+            y = cs * ek + sn * dk1
+            dk = cs * dk1 - sn * ek
+            ek = e[k]
+            h = sn * ek
+            ek *= cs
+            if not right:
+                b = zr[k]
+                zr[k - 1], z = cs * z + sn * b, cs * b - sn * z
+            dd = prev + r
+            if off + dd == dd:
+                split = k - 1
+            prev = r
+            # zero h against y
             r = hypot(y, h)
-            if r:
-                cs = y / r
-                sn = h / r
-            else:
-                cs = 1.0
-                sn = 0.0
-            if k > l:
-                e[k - 1] = r
+            cs = y / r if r else 1.0
+            sn = h / r if r else 0.0
+            e[k - 1] = off = r
             dk1 = d[k + 1]
             f = cs * dk + sn * ek
             ek = cs * ek - sn * dk
             h = sn * dk1
             dk1 *= cs
             if right:
-                a = zr[k]
                 b = zr[k + 1]
-                zr[k] = cs * a + sn * b
-                zr[k + 1] = cs * b - sn * a
-            # from the left on rows k, k + 1: zero the bulge h against f
-            r = hypot(f, h)
-            if r:
-                cs = f / r
-                sn = h / r
-            else:
-                cs = 1.0
-                sn = 0.0
-            d[k] = r
-            y = cs * ek + sn * dk1
-            dk = cs * dk1 - sn * ek
-            if k + 1 < m:
-                ek = e[k + 1]
-                h = sn * ek
-                ek *= cs
-            if not right:
-                a = zr[k]
-                b = zr[k + 1]
-                zr[k] = cs * a + sn * b
-                zr[k + 1] = cs * b - sn * a
-        d[m] = dk
-        e[m - 1] = y
+                zr[k], z = cs * z + sn * b, cs * b - sn * z
+        r = hypot(f, h)
+        cs = f / r if r else 1.0
+        sn = h / r if r else 0.0
+        d[m - 1] = r
+        if not right:
+            b = zr[m]
+            zr[m - 1], z = cs * z + sn * b, cs * b - sn * z
+        dd = prev + r
+        if off + dd == dd:
+            split = m - 1
+        zr[m] = z
+        d[m] = cs * dk1 - sn * ek
+        e[m - 1] = cs * ek + sn * dk1
 
     values: list[float] = []
     squared: list[float] = []
@@ -316,7 +349,8 @@ def eigendecompose(
     eigenvalues = tuple(val for val, _ in pairs)
     squared = tuple(w for _, w in pairs)
     total = math.fsum(squared)
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+    # written so that a NaN total fails too
+    if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
         raise EigensolverFailure(
             f"eigenvector row lost orthonormality: squared components sum "
             f"to {total!r}"
@@ -328,23 +362,26 @@ class DiscreteMeasure(_Value):
     """A finitely supported probability measure on the real line.
 
     Atoms are (location, weight) pairs with strictly increasing
-    locations, nonnegative weights, and total mass 1 within 1e-12.
+    locations, nonnegative weights, and total mass 1 within 1e-12; any
+    iterable of pairs is stored as a tuple of tuples.
     """
 
     __slots__ = ("atoms",)
 
-    def __init__(self, atoms: tuple[tuple[float, float], ...]) -> None:
+    def __init__(self, atoms: Iterable[tuple[float, float]]) -> None:
+        atoms = tuple(map(tuple, atoms))
         if not atoms:
             raise ValueError("a discrete measure needs at least one atom")
         last = None
         for x, w in atoms:
             if last is not None and not x > last:
                 raise ValueError(f"atom locations must strictly increase at {x!r}")
-            if w < 0.0:
+            # a NaN weight or total fails these tests too
+            if not w >= 0.0:
                 raise ValueError(f"atom weight must be >= 0, got {w!r} at {x!r}")
             last = x
         total = math.fsum(w for _, w in atoms)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
         object.__setattr__(self, "atoms", atoms)
 
@@ -398,7 +435,7 @@ def reconstruct_state_measure(
             atoms[-1] = (x, atoms[-1][1] + w)
         else:
             atoms.append((x, w))
-    return DiscreteMeasure(atoms=tuple(atoms))
+    return DiscreteMeasure(atoms)
 
 
 def hermite_density_grid(

@@ -164,14 +164,15 @@ def line_plot(
 
 def _convergence_series(rows: Sequence, orders: Sequence[int]) -> list[Series]:
     """``converge --plot``: |scaled moment - target| against N per order,
-    from ``convergence_table`` rows, without the zeros a log axis drops."""
+    from ``convergence_table`` rows, without the zeros a log axis drops
+    (N = 0, or a difference of 0)."""
     series = []
     for order in sorted(set(orders)):
         name = f"order {order} abs_diff"
         pts = [
             (float(r.state), to_float(r.abs_diff, f"{name} at N = {r.state}"))
             for r in rows
-            if r.order == order and r.abs_diff > 0
+            if r.order == order and r.state > 0 and r.abs_diff > 0
         ]
         if pts:
             series.append((f"order {order}", pts))

@@ -210,6 +210,26 @@ def test_converge_plot_skipped_when_all_diffs_zero(capsys, tmp_path):
     assert not plot.exists()
 
 
+def test_converge_plot_skipped_at_n_zero(capsys, tmp_path):
+    # a log axis has no place for N = 0, so its difference is no point
+    plot = tmp_path / "c.svg"
+    code, out, err = run_cli(
+        capsys,
+        ["converge", "--N", "0", "--orders", "2", "--scale", "1", "--plot", str(plot)],
+    )
+    assert code == 0
+    assert out.splitlines()[1].startswith("0,2,")
+    assert err == "note: no nonzero difference at N >= 1, no plot written\n"
+    assert not plot.exists()
+    # with N = 0 beside N = 1 the plot holds N = 1 alone
+    code, out, err = run_cli(
+        capsys,
+        ["converge", "--N", "0,1", "--orders", "2", "--scale", "1", "--plot", str(plot)],
+    )
+    assert code == 0 and err == ""
+    assert plot.read_text(encoding="utf-8").count("<circle") == 1
+
+
 def test_reconstruct_minimum_dimension_warns(capsys):
     code, out, err = run_cli(capsys, ["reconstruct", "--N", "5", "--K", "7"])
     assert code == 0

@@ -477,12 +477,21 @@ VALUE_CASES = [
     (DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5))),
      DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5))), ("atoms",),
      "DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5)))"),
+    # lists are stored as tuples, so the value hashes like the one above
+    (LadderWord([A, C]), LadderWord(letters=iter((A, C))), ("letters",),
+     "LadderWord(letters=(<Letter.ANNIHILATE: 0>, <Letter.CREATE: 1>))"),
+    (DiscreteMeasure([[-1.0, 0.5], [1.0, 0.5]]),
+     DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5))), ("atoms",),
+     "DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5)))"),
 ]
 
 
 @pytest.mark.parametrize(
     "value, by_keyword, fields, text", VALUE_CASES,
-    ids=["q-sequence", "explicit-sequence", "ladder-word", "measure"],
+    ids=[
+        "q-sequence", "explicit-sequence", "ladder-word", "measure",
+        "ladder-word-from-list", "measure-from-lists",
+    ],
 )
 def test_value_classes_are_immutable_hashable_and_picklable(
     value, by_keyword, fields, text

@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockmoments.laws import (
     SUPPORT_RADIUS,
@@ -144,6 +147,60 @@ def test_validate_moments_rejects_impossible_sequences():
     # zero pivot with a nonzero row is indefinite
     assert not validate_moments([0, 1, 0])
     assert not validate_moments([1, 1, 1, 1, 0])
+    # m2 < m1^2 shows only after the first row is eliminated from both
+    # rows below it
+    assert not validate_moments([1, 6, 1, 2, Fraction(4, 3)])
+
+
+def _det(rows):
+    """Exact determinant by expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def _psd_by_principal_minors(moments):
+    """A symmetric matrix is PSD exactly when every principal minor, not
+    only every leading one, is >= 0."""
+    size = (len(moments) - 1) // 2 + 1
+    return all(
+        _det([[moments[i + j] for j in picked] for i in picked]) >= 0
+        for k in range(1, size + 1)
+        for picked in itertools.combinations(range(size), k)
+    )
+
+
+_SMALL = st.fractions(min_value=-2, max_value=6, max_denominator=3)
+
+
+@st.composite
+def _moment_lists(draw):
+    """Up to five moments: of a measure on a few rational points, that
+    measure's moments with one nudged, or any small rationals."""
+    length = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("measure", "nudged", "any")))
+    if kind == "any":
+        return draw(st.lists(_SMALL, min_size=length, max_size=length))
+    atoms = draw(st.lists(
+        st.tuples(
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            st.fractions(min_value=0, max_value=1, max_denominator=4),
+        ),
+        min_size=1, max_size=3,
+    ))
+    moments = [sum(w * x**k for x, w in atoms) for k in range(length)]
+    if kind == "nudged":
+        moments[draw(st.integers(0, length - 1))] += draw(_SMALL)
+    return moments
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_moment_lists())
+def test_validate_moments_agrees_with_principal_minors(moments):
+    assert validate_moments(moments) == _psd_by_principal_minors(moments)
 
 
 def test_validate_moments_validation():

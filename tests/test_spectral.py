@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +133,52 @@ def test_eigendecompose_exact_zero_couplings():
                     )
 
 
+def _graded_offdiags(count, seed):
+    """Seeded off-diagonals from 2^-100 to 2^100, some sorted, some with
+    zeros: splits, frees and resumed scans that smooth sequences skip."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(3, 60)
+        off = [
+            math.ldexp(0.5 + 0.5 * rng.random(), rng.randint(-100, 100))
+            if rng.random() >= 0.04 else 0.0
+            for _ in range(dim - 1)
+        ]
+        if rng.random() < 0.3:
+            off.sort(reverse=rng.random() < 0.5)
+        yield Tridiagonal(diag=(0.0,) * dim, offdiag=tuple(off)), rng.randrange(dim)
+
+
+# SHA-256 of the repr of every eigendecompose result in each group: the
+# solver's exact floats, to be kept by any change that claims the same bits
+PINNED_SOLVER_DIGESTS = {
+    "standard K=448":
+        "552b0ecd678b4275b65461e1433355a0c5f940506cb7efeab626773b81d932f7",
+    "standard K=449":
+        "789b3e74cdffb876d7f744a7f828e1f926432d967e2a22d06ad95be90dba6975",
+    "q=1/2 K=512":
+        "f5d331ad5396fb33b0a355d59b90aecb4dfac0d4a77aaff92959e6cb0cb20442",
+    "graded":
+        "e4d5fda997617013631b273464a3d97230cfa41a939b2c81323d0ef8f434a3b4",
+}
+
+
+def test_eigendecompose_bits_pinned():
+    groups = {
+        "standard K=448": [
+            (truncated_position_matrix(STANDARD, 448), row) for row in (0, 56, 447)
+        ],
+        "standard K=449": [(truncated_position_matrix(STANDARD, 449), 200)],
+        "q=1/2 K=512": [(truncated_position_matrix(Q_HALF, 512), 3)],
+        "graded": list(_graded_offdiags(200, seed=1965)),
+    }
+    digests = {}
+    for name, cases in groups.items():
+        text = "\n".join(repr(eigendecompose(tri, row)) for tri, row in cases)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == PINNED_SOLVER_DIGESTS
+
+
 def test_eigendecompose_sweep_limit(monkeypatch):
     # the solver stops with EigensolverFailure once past the limit
     import fockmoments.spectral
@@ -142,6 +190,11 @@ def test_eigendecompose_sweep_limit(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(EigensolverFailure, match="within 50 sweeps"):
         eigendecompose(Tridiagonal(diag=(0.0,) * 3, offdiag=(math.nan, 1.0)), row=0)
+    # an infinite coupling gives NaN weights, whose NaN sum fails the mass
+    # guard
+    for row in (0, 2):
+        with pytest.raises(EigensolverFailure, match="sum to nan"):
+            eigendecompose(Tridiagonal(diag=(0.0,) * 3, offdiag=(1.0, math.inf)), row)
 
 
 def test_eigendecompose_spectra_symmetric_and_normalized():
@@ -182,6 +235,12 @@ def test_discrete_measure_validation():
         DiscreteMeasure(atoms=((0.0, 1.5), (1.0, -0.5)))
     with pytest.raises(ValueError):
         DiscreteMeasure(atoms=((0.0, 0.5), (1.0, 0.4)))
+    # NaN compares False both ways: a guard asks whether a weight is in
+    # bounds, not whether it is out
+    with pytest.raises(ValueError, match="must be >= 0, got nan"):
+        DiscreteMeasure(atoms=((0.0, math.nan),))
+    with pytest.raises(ValueError, match="must be >= 0, got nan"):
+        DiscreteMeasure(atoms=((-1.0, 1.0), (1.0, math.nan)))
 
 
 def test_discrete_measure_accessors():
