@@ -147,8 +147,8 @@ def test_validate_moments_rejects_impossible_sequences():
     # zero pivot with a nonzero row is indefinite
     assert not validate_moments([0, 1, 0])
     assert not validate_moments([1, 1, 1, 1, 0])
-    # m2 < m1^2 shows only after the first row is eliminated from both
-    # rows below it
+    # m2 < m1^2: the second pivot turns negative only once the first row
+    # is eliminated from the second
     assert not validate_moments([1, 6, 1, 2, Fraction(4, 3)])
 
 
