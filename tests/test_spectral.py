@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +9,16 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD
+from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD, state_index
 from fockmoments.laws import arcsine_cdf
 from fockmoments.moments import moments_by_walk
+from fockmoments.selfcheck import run_selfcheck
 from fockmoments.spectral import (
     DiscreteMeasure,
     EIGEN_DIM_CAP,
     EigensolverFailure,
     Tridiagonal,
     TruncationTooSmall,
-    density_cdf,
     density_spectrum_sup,
     eigendecompose,
     hermite_density_grid,
@@ -241,6 +242,16 @@ def test_discrete_measure_validation():
         DiscreteMeasure(atoms=((0.0, math.nan),))
     with pytest.raises(ValueError, match="must be >= 0, got nan"):
         DiscreteMeasure(atoms=((-1.0, 1.0), (1.0, math.nan)))
+    # a location must be finite, and a sum past the float range is a
+    # bad total, not an OverflowError
+    with pytest.raises(ValueError, match="must be finite, got nan with weight 1.0"):
+        DiscreteMeasure(atoms=((math.nan, 1.0),))
+    with pytest.raises(ValueError, match="must be finite, got -inf with weight 0.5"):
+        DiscreteMeasure(atoms=((-math.inf, 0.5), (math.inf, 0.5)))
+    with pytest.raises(ValueError, match="must be finite, got inf with weight 0.5"):
+        DiscreteMeasure(atoms=((0.0, 0.5), (math.inf, 0.5)))
+    with pytest.raises(ValueError, match="atom weights sum to inf, not 1"):
+        DiscreteMeasure(atoms=((0.0, 1e308), (1.0, 1e308)))
 
 
 def test_discrete_measure_accessors():
@@ -392,16 +403,113 @@ def test_hermite_state_density_cap():
     assert hermite_density_grid(200, (0.1,))[0] >= 0.0
 
 
+def _density_cdf(state, xs):
+    # cumulative trapezoid integral of the state density along a whole
+    # grid: the list pipeline density_spectrum_sup once ran, kept as its
+    # reference
+    n = state_index(state)
+    if len(xs) < 2:
+        raise ValueError("need at least two grid points")
+    values = hermite_density_grid(n, xs)
+    out = [0.0]
+    acc = 0.0
+    for i in range(1, len(xs)):
+        step = xs[i] - xs[i - 1]
+        if step <= 0:
+            raise ValueError("grid must strictly increase")
+        acc += 0.5 * (values[i] + values[i - 1]) * step
+        out.append(acc)
+    return out
+
+
+def _density_spectrum_sup_by_lists(state, dim, panels):
+    # density_spectrum_sup over a materialized grid and integral
+    n = state_index(state)
+    measure = reconstruct_state_measure(STANDARD, n, dim, scale=1)
+    lo = measure.atoms[0][0] - 2.0
+    hi = measure.atoms[-1][0] + 2.0
+    xs = [lo + (hi - lo) * i / panels for i in range(panels + 1)]
+    cdf = _density_cdf(n, xs)
+
+    def interp(x):
+        width = (hi - lo) / panels
+        j = min(int((x - lo) / width), panels - 1)
+        t = (x - xs[j]) / (xs[j + 1] - xs[j])
+        return cdf[j] * (1.0 - t) + cdf[j + 1] * t
+
+    best = 0.0
+    cum = 0.0
+    for x, w in measure.atoms:
+        mid = cum + 0.5 * w
+        cum += w
+        best = max(best, abs(mid - interp(x)))
+    return best
+
+
 def test_density_cdf_monotone_and_total():
     xs = [(-10.0 + 20.0 * i / 2000) for i in range(2001)]
-    cdf = density_cdf(2, xs)
+    cdf = _density_cdf(2, xs)
     assert cdf[0] == 0.0
     assert cdf[-1] == pytest.approx(1.0, abs=1e-8)
     assert all(b >= a for a, b in zip(cdf, cdf[1:]))
     with pytest.raises(ValueError):
-        density_cdf(2, [0.0])
+        _density_cdf(2, [0.0])
     with pytest.raises(ValueError):
-        density_cdf(2, [0.0, 0.0])
+        _density_cdf(2, [0.0, 0.0])
+
+
+def _shares_a_panel(state, dim, panels):
+    # whether two atoms of the measure read the same grid panel
+    atoms = reconstruct_state_measure(STANDARD, state, dim, scale=1).atoms
+    lo = atoms[0][0] - 2.0
+    width = (atoms[-1][0] + 2.0 - lo) / panels
+    cells = [min(int((x - lo) / width), panels - 1) for x, _ in atoms]
+    return len(set(cells)) < len(cells)
+
+
+def test_density_spectrum_sup_bits_match_list_reference():
+    # the selfcheck's cases, the smallest grids, and seeded draws whose
+    # panel counts are spread log-uniformly, so that many draws put two
+    # atoms in one panel
+    cases = [(0, 96, 8000), (2, 98, 8000), (0, 128, 20000), (2, 130, 20000),
+             (5, 133, 20000)]
+    cases += [(n, n + 9, panels) for n in (0, 3) for panels in (1, 2, 3, 17)]
+    rng = random.Random(20)
+    for _ in range(50):
+        n = rng.randint(0, 8)
+        cases.append((n, rng.randint(n + 2, n + 60), max(1, int(3000 ** rng.random()))))
+    shared = 0
+    for n, dim, panels in cases:
+        assert density_spectrum_sup(n, dim, panels) == _density_spectrum_sup_by_lists(
+            n, dim, panels
+        ), (n, dim, panels)
+        shared += _shares_a_panel(n, dim, panels)
+    assert shared >= 20
+
+
+def _peak_bytes(call):
+    # the most memory the call held beyond what was allocated before it
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_density_spectrum_sup_memory_does_not_follow_the_panels():
+    # a grid of 20,000 panels held as lists takes about 2.6 MB
+    assert _peak_bytes(lambda: density_spectrum_sup(5, 133, panels=20000)) < 500_000
+
+
+def test_full_selfcheck_memory_is_bounded():
+    # no suite materializes a grid or a table that grows with its cases
+    assert _peak_bytes(lambda: run_selfcheck(fast=False)) < 500_000
 
 
 def test_ks_distance_hand_case():
