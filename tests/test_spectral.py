@@ -405,8 +405,8 @@ def test_hermite_state_density_cap():
 
 def _density_cdf(state, xs):
     # cumulative trapezoid integral of the state density along a whole
-    # grid: the list pipeline density_spectrum_sup once ran, kept as its
-    # reference
+    # grid, as lists: the reference density_spectrum_sup must match bit
+    # for bit
     n = state_index(state)
     if len(xs) < 2:
         raise ValueError("need at least two grid points")
