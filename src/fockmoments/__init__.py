@@ -22,10 +22,8 @@ _HOME = {
     name: module
     for module, names in {
         "fock": (
-            "CapExceeded", "EigensolverFailure", "JacobiSequence", "LadderWord",
-            "Letter", "STANDARD", "TruncationTooSmall", "WORD_ORDER_CAP",
-            "as_fraction", "canonical_scale", "enumerate_balanced_words",
-            "q_integer",
+            "CapExceeded", "EigensolverFailure", "JacobiSequence", "STANDARD",
+            "TruncationTooSmall", "as_fraction", "canonical_scale", "q_integer",
         ),
         "laws": (
             "arcsine_cdf", "arcsine_density", "arcsine_moment", "classical_moment",
@@ -33,7 +31,7 @@ _HOME = {
             "validate_moments",
         ),
         "moments": (
-            "ConvergenceRow", "convergence_table", "moment_by_words",
+            "ConvergenceRow", "WORD_ORDER_CAP", "convergence_table", "moment_by_words",
             "moment_envelope", "moments_by_walk", "walk_returns",
             "word_matrix_element",
         ),

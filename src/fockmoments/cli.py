@@ -69,6 +69,8 @@ def parse_jacobi(text: str) -> JacobiSequence:
             return JacobiSequence.from_json(json.loads(t))
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"--jacobi: {exc}") from exc
+    except RecursionError:  # from json.loads, or the repr of a deep "kind"
+        raise ValueError("--jacobi: JSON nests too deeply") from None
     raise ValueError(
         "--jacobi must be 'standard', 'q=<rational>', 'explicit:<list>' "
         f"or a JSON object, got {text!r}"

@@ -1,4 +1,4 @@
-"""Fock-space primitives: Jacobi sequences, number states, ladder words.
+"""Fock-space primitives: Jacobi sequences and number states.
 
 An interacting Fock space is described here by its Jacobi sequence
 ``omega_1, omega_2, ...`` of positive rationals, the squared norms of the
@@ -13,15 +13,9 @@ serialize as ``"p/q"`` strings.
 
 from __future__ import annotations
 
-import itertools
 import sys
-from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
-
-# Balanced-word enumeration is capped at this half-length m, i.e. at
-# C(2m, m) = 2704156 words, to guard against combinatorial blowup.
-WORD_ORDER_CAP = 12
+from typing import Sequence, Union
 
 
 class CapExceeded(RuntimeError):
@@ -304,71 +298,3 @@ def _index(value: int, name: str, least: int = 0, cap: int | None = None) -> int
 def state_index(state: int) -> int:
     """Validate a number-state level: a non-negative int, not a bool."""
     return _index(state, "number state index")
-
-
-class Letter(IntEnum):
-    """A ladder letter; annihilation sorts before creation."""
-
-    ANNIHILATE = 0
-    CREATE = 1
-
-
-_LETTER_CHARS = {Letter.ANNIHILATE: "a", Letter.CREATE: "c"}
-_CHAR_LETTERS = {"a": Letter.ANNIHILATE, "c": Letter.CREATE}
-
-
-class LadderWord(_Value):
-    """A finite word in the ladder letters, applied rightmost letter first.
-
-    Any iterable of letters is stored as a tuple."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: Iterable[Letter]) -> None:
-        letters = tuple(letters)
-        if not letters:
-            raise ValueError("ladder words must have length >= 1")
-        for ch in letters:
-            if not isinstance(ch, Letter):
-                raise ValueError(f"not a ladder letter: {ch!r}")
-        object.__setattr__(self, "letters", letters)
-
-    @staticmethod
-    def from_string(text: str) -> "LadderWord":
-        """Parse a word from 'a'/'c' characters, e.g. ``"acca"``."""
-        try:
-            return LadderWord(_CHAR_LETTERS[ch] for ch in text)
-        except KeyError as exc:
-            raise ValueError(f"word characters must be 'a' or 'c': {text!r}") from exc
-
-    def to_string(self) -> str:
-        return "".join(_LETTER_CHARS[ch] for ch in self.letters)
-
-    def is_balanced(self) -> bool:
-        """True when the word has equally many annihilators and creators."""
-        ups = sum(1 for ch in self.letters if ch is Letter.CREATE)
-        return 2 * ups == len(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-
-def enumerate_balanced_words(m: int) -> list[LadderWord]:
-    """All length-2m words with m annihilators and m creators.
-
-    Returned in lexicographic order with ANNIHILATE < CREATE; there are
-    C(2m, m) of them.  m is capped at WORD_ORDER_CAP.  Every word is
-    built, so time and memory grow like C(2m, m): m = 11 takes seconds
-    and a few hundred MB, m = 12 about four times that.
-    """
-    _index(m, "balanced-word half-length", least=1, cap=WORD_ORDER_CAP)
-    words = []
-    for spots in itertools.combinations(range(2 * m), m):
-        letters = [Letter.CREATE] * (2 * m)
-        for i in spots:
-            letters[i] = Letter.ANNIHILATE
-        words.append(LadderWord(letters))
-    return words

@@ -21,9 +21,6 @@ from typing import Iterable, NamedTuple, Union
 
 from .fock import (
     JacobiSequence,
-    LadderWord,
-    Letter,
-    WORD_ORDER_CAP,
     _as_positive,
     _index,
     canonical_scale,
@@ -32,23 +29,27 @@ from .fock import (
 from .laws import arcsine_moment
 
 
-def word_matrix_element(
-    seq: JacobiSequence, state: int, word: LadderWord
-) -> Fraction:
+def word_matrix_element(seq: JacobiSequence, state: int, word: str) -> Fraction:
     """Exact matrix element of a ladder word in the N-th number state.
 
-    The word acts rightmost letter first.  Annihilating the bottom level
-    kills the vector, and a walk that does not return to its starting
-    level is orthogonal to it; both give 0.  Otherwise every edge of the
-    level graph is traversed an even number of times, so the product of
+    The word is a non-empty string of ``a`` (annihilate) and ``c``
+    (create), such as ``"acca"``; anything else raises ValueError.  It
+    acts rightmost letter first.  Annihilating the bottom level kills
+    the vector, and a walk that does not return to its starting level is
+    orthogonal to it; both give 0.  Otherwise every edge of the level
+    graph is traversed an even number of times, so the product of
     sqrt(omega) weights collapses to a rational: the product of
     omega_k^(t_k / 2) over edge traversal counts t_k.
     """
+    if not isinstance(word, str) or not word or word.strip("ac"):
+        raise ValueError(
+            f"a ladder word is a non-empty string of 'a' and 'c', got {word!r}"
+        )
     n = state_index(state)
     level = n
     traversals: dict[int, int] = {}
-    for letter in reversed(word.letters):
-        if letter is Letter.ANNIHILATE:
+    for letter in reversed(word):
+        if letter == "a":
             if level == 0:
                 return Fraction(0)
             traversals[level] = traversals.get(level, 0) + 1
@@ -64,6 +65,12 @@ def word_matrix_element(
             raise AssertionError("returning walk crossed an edge an odd number of times")
         value *= seq.omega(k) ** (count // 2)
     return value
+
+
+# The word sum's half-length m is capped at 12, i.e. at C(24, 12) =
+# 2704156 leaves of its depth-first walk, to guard against combinatorial
+# blowup.
+WORD_ORDER_CAP = 12
 
 
 def moment_by_words(

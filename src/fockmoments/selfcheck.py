@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .fock import STANDARD, JacobiSequence, LadderWord, Letter, canonical_scale
+from .fock import STANDARD, JacobiSequence, canonical_scale
 from .laws import validate_moments
 from .moments import (
     moment_by_words,
@@ -126,13 +126,11 @@ def _suite_odd(fast: bool) -> Iterator[str | None]:
     for label, seq in _sequences():
         for n in range(0, max_n + 1, 2):
             for length in lengths:
-                for bits in itertools.product(
-                    (Letter.ANNIHILATE, Letter.CREATE), repeat=length
-                ):
-                    element = word_matrix_element(seq, n, LadderWord(bits))
+                for letters in itertools.product("ac", repeat=length):
+                    word = "".join(letters)
+                    element = word_matrix_element(seq, n, word)
                     yield None if element == 0 else (
-                        f"{label}, N={n}, word "
-                        f"{LadderWord(bits).to_string()}: element {element}"
+                        f"{label}, N={n}, word {word}: element {element}"
                     )
 
 

@@ -696,6 +696,16 @@ def test_float_range_error_is_one_line(capsys, monkeypatch, tmp_path, args, name
     _one_line_error(capsys, tmp_path, args, 2, name)
 
 
+@pytest.mark.parametrize("depth", [1100, 5000])
+def test_deeply_nested_json_jacobi_is_one_line(capsys, monkeypatch, tmp_path, depth):
+    # past the interpreter's recursion limit, where json.loads gives up
+    monkeypatch.chdir(tmp_path)
+    kind = "[" * depth + "]" * depth
+    args = ["moments", "--jacobi", f'{{"kind":{kind}}}', "--N", "1", "--orders", "2"]
+    err = _one_line_error(capsys, tmp_path, args, 2, "--jacobi")
+    assert err == "error: --jacobi: JSON nests too deeply\n"
+
+
 @pytest.mark.parametrize("args, name", REJECTED_HUGE_CASES)
 def test_rejected_huge_value_is_one_line(capsys, monkeypatch, tmp_path, args, name):
     monkeypatch.chdir(tmp_path)

@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import io
-import math
 import pickle
 from fractions import Fraction
 
@@ -13,13 +12,9 @@ from fockmoments.cli import main
 from fockmoments.fock import (
     CapExceeded,
     JacobiSequence,
-    LadderWord,
-    Letter,
     STANDARD,
-    WORD_ORDER_CAP,
     as_fraction,
     canonical_scale,
-    enumerate_balanced_words,
     q_integer,
     state_index,
 )
@@ -30,6 +25,7 @@ from fockmoments.laws import (
     vacuum_gaussian_moment,
 )
 from fockmoments.moments import (
+    WORD_ORDER_CAP,
     convergence_table,
     moment_by_words,
     moment_envelope,
@@ -358,9 +354,6 @@ INTEGER_ARGUMENTS = {
         lambda v: canonical_scale(STANDARD, v),
         "state level for the canonical scale", 1, None,
     ),
-    "enumerate_balanced_words": (
-        enumerate_balanced_words, "balanced-word half-length", 1, WORD_ORDER_CAP
-    ),
     "moment_envelope-state": (
         lambda v: moment_envelope(v, 2), "state level for the envelope", 1, None
     ),
@@ -440,27 +433,6 @@ def test_number_state_and_coercion():
         state_index("3")
 
 
-def test_ladder_word_parsing():
-    word = LadderWord.from_string("acca")
-    assert word.letters == (
-        Letter.ANNIHILATE,
-        Letter.CREATE,
-        Letter.CREATE,
-        Letter.ANNIHILATE,
-    )
-    assert word.to_string() == "acca"
-    assert word.is_balanced()
-    assert len(word) == 4
-    assert not LadderWord.from_string("aac").is_balanced()
-    with pytest.raises(ValueError):
-        LadderWord.from_string("abc")
-    with pytest.raises(ValueError):
-        LadderWord(())
-    with pytest.raises(ValueError):
-        LadderWord(("a",))
-
-
-A, C = Letter.ANNIHILATE, Letter.CREATE
 # each value class: a value, the same value built by keyword, its field
 # names and its exact repr
 VALUE_CASES = [
@@ -472,14 +444,10 @@ VALUE_CASES = [
      ("kind", "q", "omegas"),
      "JacobiSequence(kind='explicit', q=None, "
      "omegas=(Fraction(1, 1), Fraction(3, 2)))"),
-    (LadderWord((A, C)), LadderWord(letters=(A, C)), ("letters",),
-     "LadderWord(letters=(<Letter.ANNIHILATE: 0>, <Letter.CREATE: 1>))"),
     (DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5))),
      DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5))), ("atoms",),
      "DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5)))"),
     # lists are stored as tuples, so the value hashes like the one above
-    (LadderWord([A, C]), LadderWord(letters=iter((A, C))), ("letters",),
-     "LadderWord(letters=(<Letter.ANNIHILATE: 0>, <Letter.CREATE: 1>))"),
     (DiscreteMeasure([[-1.0, 0.5], [1.0, 0.5]]),
      DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5))), ("atoms",),
      "DiscreteMeasure(atoms=((-1.0, 0.5), (1.0, 0.5)))"),
@@ -489,8 +457,7 @@ VALUE_CASES = [
 @pytest.mark.parametrize(
     "value, by_keyword, fields, text", VALUE_CASES,
     ids=[
-        "q-sequence", "explicit-sequence", "ladder-word", "measure",
-        "ladder-word-from-list", "measure-from-lists",
+        "q-sequence", "explicit-sequence", "measure", "measure-from-lists",
     ],
 )
 def test_value_classes_are_immutable_hashable_and_picklable(
@@ -515,29 +482,3 @@ def test_value_classes_are_immutable_hashable_and_picklable(
         assert type(other) is type(value)
         assert other == value and hash(other) == hash(value)
         assert repr(other) == text
-
-
-def test_balanced_word_counts():
-    # C(2m, m) words at half-length m
-    for m in range(1, 7):
-        words = enumerate_balanced_words(m)
-        assert len(words) == math.comb(2 * m, m)
-        assert len(set(w.letters for w in words)) == len(words)
-        for w in words:
-            assert w.is_balanced()
-            assert len(w) == 2 * m
-
-
-def test_balanced_word_order_is_lexicographic():
-    words = [w.to_string() for w in enumerate_balanced_words(3)]
-    assert words == sorted(words)
-    assert words[0] == "aaaccc"
-    assert words[-1] == "cccaaa"
-
-
-def test_balanced_word_caps():
-    assert WORD_ORDER_CAP == 12
-    with pytest.raises(ValueError):
-        enumerate_balanced_words(0)
-    with pytest.raises(CapExceeded):
-        enumerate_balanced_words(WORD_ORDER_CAP + 1)

@@ -20,7 +20,7 @@ def test_readme_lists_exactly_the_public_names():
     names = _readme_public_names()
     assert len(names) == len(set(names)), "a name is listed twice"
     assert set(names) == set(fockmoments.__all__)
-    assert len(names) == 36
+    assert len(names) == 33
     assert len(fockmoments.__all__) == len(set(fockmoments.__all__))
     for name in names:
         assert hasattr(fockmoments, name), name
