@@ -60,8 +60,6 @@ def parse_jacobi(text: str) -> JacobiSequence:
             return JacobiSequence.q_deformed(t[2:])
         if t.startswith("explicit:"):
             parts = [p.strip() for p in t[len("explicit:"):].split(",") if p.strip()]
-            if not parts:
-                raise ValueError("explicit list is empty")
             return JacobiSequence.explicit(parts)
         if t.startswith("{"):
             import json

@@ -166,8 +166,8 @@ class JacobiSequence(_Value):
     - ``"explicit"``: a finite list of positive rationals
 
     The constructor alone decides what a sequence may hold: ``q`` and
-    each weight ``omega_i`` obey the rational rule, and any iterable of
-    weights but a string becomes a tuple (an empty one too).
+    each weight ``omega_i`` obey the rational rule, and any non-empty
+    iterable of weights but a string becomes a tuple.
     """
 
     __slots__ = ("kind", "q", "omegas")
@@ -190,6 +190,8 @@ class JacobiSequence(_Value):
         elif kind == "explicit":
             if q is not None:
                 raise ValueError("explicit sequences take no deformation q")
+            if not omegas:
+                raise ValueError("explicit list is empty")
             weights = enumerate(omegas, 1)
             omegas = tuple(_as_positive(w, f"omega_{i}") for i, w in weights)
         else:
@@ -230,8 +232,8 @@ class JacobiSequence(_Value):
 
         Schema: ``{"kind": "standard"}``, ``{"kind": "q", "q": "1/2"}``, or
         ``{"kind": "explicit", "omega": ["1", "3/2", "2"]}``.  Rationals are
-        strings.  A field that the kind does not take, and an empty
-        ``omega`` list, are rejected.
+        strings.  A field that the kind does not take is rejected, and
+        the constructor decides the rest.
         """
         if not isinstance(obj, dict):
             raise ValueError("Jacobi sequence description must be an object")
@@ -244,8 +246,6 @@ class JacobiSequence(_Value):
         if kind == "explicit":
             if not isinstance(obj.get("omega"), list):
                 raise ValueError("kind 'explicit' requires a list field 'omega'")
-            if not obj["omega"]:
-                raise ValueError("explicit list is empty")
         return JacobiSequence(kind, obj.get("q"), obj.get("omega", ()))
 
     def to_json(self) -> dict:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .fock import _as_positive, _index, as_fraction
+from .fock import _as_positive, _as_rational, _index
 
 SUPPORT_RADIUS = math.sqrt(2.0)
 
@@ -109,7 +109,7 @@ def validate_moments(values: Iterable[Union[int, str, Fraction]]) -> bool:
     elimination.  A zero pivot is admissible only if its whole remaining
     row vanishes; leading principal minors alone would not decide PSD.
     """
-    moments: list[Fraction] = [as_fraction(v) for v in values]
+    moments = [_as_rational(v, f"m_{i}") for i, v in enumerate(values)]
     if not moments:
         raise ValueError("need at least the zeroth moment")
     size = (len(moments) - 1) // 2 + 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .fock import (
     EigensolverFailure,
@@ -394,7 +394,10 @@ class DiscreteMeasure(_Value):
 
     def moment(self, order: int) -> float:
         _index(order, "moment order")
-        return math.fsum(w * x**order for x, w in self.atoms)
+        try:
+            return math.fsum(w * x**order for x, w in self.atoms)
+        except OverflowError:
+            raise ValueError(f"order {order} moment overflows a float") from None
 
     def cdf(self, x: float) -> float:
         """Right-continuous distribution function."""
@@ -445,29 +448,50 @@ def reconstruct_state_measure(
     return DiscreteMeasure(atoms)
 
 
-def hermite_density_grid(
-    state: int, xs: Sequence[float]
-) -> list[float]:
-    """Position density of the N-th standard-oscillator number state at xs.
+def _hermite_levels(n: int, xs: Sequence[float]) -> Iterator[list[float]]:
+    """phi_0 .. phi_n of the standard oscillator at xs, one list a level.
 
-    Evaluates the weighted orthonormal recurrence
-    phi_0 = exp(-x^2/2) / pi^(1/4),
-    b_{n+1} phi_{n+1} = x phi_n - b_n phi_{n-1} with b_n = sqrt(n / 2),
-    and returns phi_N(x)^2 at every point.  The weighted form stays
-    bounded where the bare Hermite recurrence would overflow.  Each level
-    is one pass over the grid, with the arithmetic of a one-point call.
+    The weighted orthonormal recurrence phi_0 = exp(-x^2/2) / pi^(1/4),
+    b_{k+1} phi_{k+1} = x phi_k - b_k phi_{k-1} with b_k = sqrt(k / 2),
+    stays bounded where the bare Hermite one would overflow; each point
+    gets the arithmetic of a one-point call.
     """
-    n = _index(state, "density level", cap=DENSITY_LEVEL_CAP)
     norm = math.pi**0.25
     phi_prev = [0.0] * len(xs)
     phi = [math.exp(-0.5 * x * x) / norm for x in xs]
+    yield phi
     for k in range(n):
         b_next = math.sqrt((k + 1) / 2.0)
         b_here = math.sqrt(k / 2.0)
         phi_prev, phi = phi, [
             (x * p - b_here * q) / b_next for x, p, q in zip(xs, phi, phi_prev)
         ]
+        yield phi
+
+
+def hermite_density_grid(state: int, xs: Sequence[float]) -> list[float]:
+    """Position density phi_N(x)^2 of the N-th standard state at xs."""
+    n = _index(state, "density level", cap=DENSITY_LEVEL_CAP)
+    for phi in _hermite_levels(n, xs):
+        pass
     return [p * p for p in phi]
+
+
+def _state_cdf(n: int, xs: Sequence[float]) -> list[float]:
+    """F_N, the distribution function of phi_N^2, at xs, exactly.
+
+    The ladder relations give d/dx (phi_k phi_{k-1}) =
+    sqrt(2k) (phi_{k-1}^2 - phi_k^2), so
+    F_N(x) = erfc(-x) / 2 - sum_{k=1..N} phi_k(x) phi_{k-1}(x) / sqrt(2k).
+    """
+    cdf = [0.5 * math.erfc(-x) for x in xs]
+    levels = _hermite_levels(n, xs)
+    prev = next(levels)
+    for k, phi in enumerate(levels, 1):
+        root = math.sqrt(2.0 * k)
+        cdf = [f - p * q / root for f, p, q in zip(cdf, phi, prev)]
+        prev = phi
+    return cdf
 
 
 def ks_distance_to_arcsine(measure: DiscreteMeasure) -> float:
@@ -487,50 +511,19 @@ def ks_distance_to_arcsine(measure: DiscreteMeasure) -> float:
     return best
 
 
-def density_spectrum_sup(state: int, dim: int, panels: int) -> float:
+def density_spectrum_sup(state: int, dim: int) -> float:
     """Sup distance between spectral and density CDFs of a standard state.
 
-    Compares the K-level reconstructed measure against the integrated
-    Hermite density at every atom, reading the step CDF at mid-jump (the
-    average of its left and right limits).  A step function cannot track
-    a continuous CDF more closely than half its largest jump, so this
-    mid-jump reading is the honest discretization-aware comparison.
-    The density is integrated by the trapezoid rule over ``panels``
-    equal panels from 2.0 below the first atom to 2.0 above the last,
-    and linearly interpolated at each atom.  The integral is extended
-    from atom to atom, so memory follows the widest gap between atoms
-    or the 2.0 before the first, not ``panels``, and the grid past the
-    last atom's panel is never computed.
+    Reads the K-level reconstructed measure's step CDF at mid-jump, the
+    average of its left and right limits, against the exact F_N at every
+    atom.  A step function cannot track a continuous CDF more closely
+    than half its largest jump, so this is the honest comparison.  The
+    level is checked against the density cap before the eigensolve.
     """
-    n = state_index(state)
-    _index(panels, "panels", least=1)
-    measure = reconstruct_state_measure(STANDARD, n, dim, scale=1)
-    lo = measure.atoms[0][0] - 2.0
-    hi = measure.atoms[-1][0] + 2.0
-    width = (hi - lo) / panels
-    # the integral reaches grid point done at x1, where the density is v1
-    # and the integral acc; c0 is the integral at the point x0 before it
-    done = 0
-    x0 = c0 = acc = 0.0
-    x1 = lo
-    (v1,) = hermite_density_grid(n, (lo,))
-    best = 0.0
-    cum = 0.0
-    for x, w in measure.atoms:
-        # every atom lies 2.0 inside the grid's ends
-        j = min(int((x - lo) / width), panels - 1)
-        if done <= j:
-            xs = [lo + (hi - lo) * i / panels for i in range(done + 1, j + 2)]
-            for xi, vi in zip(xs, hermite_density_grid(n, xs)):
-                step = xi - x1
-                if step <= 0:
-                    raise ValueError("grid must strictly increase")
-                c0 = acc
-                acc += 0.5 * (vi + v1) * step
-                x0, x1, v1 = x1, xi, vi
-            done = j + 1
-        t = (x - x0) / (x1 - x0)
-        mid = cum + 0.5 * w
+    n = _index(state_index(state), "density level", cap=DENSITY_LEVEL_CAP)
+    atoms = reconstruct_state_measure(STANDARD, n, dim, scale=1).atoms
+    best = cum = 0.0
+    for (_, w), f in zip(atoms, _state_cdf(n, [x for x, _ in atoms])):
+        best = max(best, abs(cum + 0.5 * w - f))
         cum += w
-        best = max(best, abs(mid - (c0 * (1.0 - t) + acc * t)))
     return best

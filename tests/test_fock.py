@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockmoments.cli import main
+from fockmoments.cli import main, parse_jacobi
 from fockmoments.fock import (
     CapExceeded,
     JacobiSequence,
@@ -37,7 +37,6 @@ from fockmoments.spectral import (
     EIGEN_DIM_CAP,
     DiscreteMeasure,
     Tridiagonal,
-    density_spectrum_sup,
     eigendecompose,
     hermite_density_grid,
     lossless_order,
@@ -234,6 +233,18 @@ def test_sequence_construction_rejects_bad_parameters():
     assert hash(listed) == hash(JacobiSequence.explicit(["1", "3/2"]))
 
 
+def test_empty_explicit_list_is_refused_by_the_constructor():
+    # so that from_json(to_json()) inverts every sequence there is
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError, match="^explicit list is empty$"):
+            JacobiSequence.explicit(empty)
+    with pytest.raises(ValueError, match="^explicit list is empty$"):
+        JacobiSequence(kind="explicit")
+    for text in ("explicit:", "explicit:,", " explicit: , ,"):
+        with pytest.raises(ValueError, match="^--jacobi: explicit list is empty$"):
+            parse_jacobi(text)
+
+
 def test_sequence_json_round_trip():
     cases = [
         JacobiSequence.standard(),
@@ -375,9 +386,6 @@ INTEGER_ARGUMENTS = {
     "hermite_density_grid": (
         lambda v: hermite_density_grid(v, [0.0]),
         "density level", 0, DENSITY_LEVEL_CAP,
-    ),
-    "density_spectrum_sup-panels": (
-        lambda v: density_spectrum_sup(0, 10, v), "panels", 1, None
     ),
     "classical_moment_quadrature-panels": (
         lambda v: classical_moment_quadrature(1.0, 2, v), "panels", 16, None

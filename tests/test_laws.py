@@ -152,6 +152,17 @@ def test_validate_moments_rejects_impossible_sequences():
     assert not validate_moments([1, 6, 1, 2, Fraction(4, 3)])
 
 
+def test_validate_moments_names_the_bad_moment():
+    for values, message in (
+        ([1, 0.5, 2], "m_1: floats are not exact, pass a 'p/q' string instead of 0.5"),
+        ([1, 0, True], "m_2: expected a rational number, got a bool"),
+        (["1", "x"], "m_1: not a rational 'p/q' string: 'x'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            validate_moments(values)
+        assert str(info.value) == message
+
+
 def _det(rows):
     """Exact determinant by expansion along the first row."""
     if not rows:

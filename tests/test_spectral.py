@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.special
 
+from fockmoments import spectral
 from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD, state_index
 from fockmoments.laws import arcsine_cdf
 from fockmoments.moments import moments_by_walk
@@ -19,6 +21,7 @@ from fockmoments.spectral import (
     EigensolverFailure,
     Tridiagonal,
     TruncationTooSmall,
+    _state_cdf,
     density_spectrum_sup,
     eigendecompose,
     hermite_density_grid,
@@ -267,6 +270,14 @@ def test_discrete_measure_accessors():
         measure.moment(-1)
 
 
+def test_discrete_measure_moment_overflow_names_the_order():
+    # a power past the float range is refused like a quadrature's
+    wide = DiscreteMeasure([(-2.0, 0.5), (2.0, 0.5)])
+    assert wide.moment(1000) == 2.0**1000
+    with pytest.raises(ValueError, match="^order 2000 moment overflows a float$"):
+        wide.moment(2000)
+
+
 def test_reconstruct_requires_headroom():
     with pytest.raises(TruncationTooSmall):
         reconstruct_state_measure(STANDARD, 5, 6)
@@ -397,6 +408,33 @@ def test_hermite_density_grid_matches_pointwise_bit_for_bit():
         hermite_density_grid(201, [0.0])
 
 
+# SHA-256 of repr(hermite_density_grid(n, grid)) on a 257-point grid and of
+# the repr of its 50 results on seeded grids: the recurrence's arithmetic,
+# pinned bit for bit
+GRID_DIGESTS = {
+    0: ("ecdc5ff0f30fb554ea328a8f58c1eed9ab35615c4f7ea2f8a2b0ad4be736abe0",
+        "48fba86f3b821c7a46cd5d602e3b7d8559acfd1f709fbf305387a4d918ddec86"),
+    56: ("2225d9d6f8ad2d276fdbd97c992a510d3986157ae44e274627094ed491e12ebb",
+         "34395c3bd58d031ad2afb8119da65490539b3ccdd87bd0f6609c8424748fe446"),
+    200: ("d435bbac31cf53b699d2d16dcd3020a3263dd125b48a913842ffee2e00d4cad4",
+          "df7f6d163606101d54eee6a8b72dad62421d783b0fcd684a3be98b5c98ea5c1b"),
+}
+
+
+def test_hermite_density_grid_digests_are_unchanged():
+    grid = [-25.0 + 50.0 * i / 256 for i in range(257)]
+    rng = random.Random(19)
+    seeded = [
+        [rng.uniform(-30.0, 30.0) for _ in range(rng.randint(1, 60))]
+        for _ in range(50)
+    ]
+    for n, (on_grid, on_seeded) in GRID_DIGESTS.items():
+        values = hermite_density_grid(n, grid)
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == on_grid
+        values = [hermite_density_grid(n, xs) for xs in seeded]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == on_seeded
+
+
 def test_hermite_state_density_cap():
     with pytest.raises(CapExceeded):
         hermite_density_grid(201, (0.0,))
@@ -458,33 +496,45 @@ def test_density_cdf_monotone_and_total():
         _density_cdf(2, [0.0, 0.0])
 
 
-def _shares_a_panel(state, dim, panels):
-    # whether two atoms of the measure read the same grid panel
-    atoms = reconstruct_state_measure(STANDARD, state, dim, scale=1).atoms
-    lo = atoms[0][0] - 2.0
-    width = (atoms[-1][0] + 2.0 - lo) / panels
-    cells = [min(int((x - lo) / width), panels - 1) for x, _ in atoms]
-    return len(set(cells)) < len(cells)
-
-
-def test_density_spectrum_sup_bits_match_list_reference():
-    # the selfcheck's cases, the smallest grids, and seeded draws whose
-    # panel counts are spread log-uniformly, so that many draws put two
-    # atoms in one panel
+def test_density_spectrum_sup_matches_list_reference():
+    # the trapezoid reference at 8,000 and 20,000 panels lies within about
+    # 1.5e-6 of the exact distribution function
     cases = [(0, 96, 8000), (2, 98, 8000), (0, 128, 20000), (2, 130, 20000),
              (5, 133, 20000)]
-    cases += [(n, n + 9, panels) for n in (0, 3) for panels in (1, 2, 3, 17)]
-    rng = random.Random(20)
-    for _ in range(50):
-        n = rng.randint(0, 8)
-        cases.append((n, rng.randint(n + 2, n + 60), max(1, int(3000 ** rng.random()))))
-    shared = 0
     for n, dim, panels in cases:
-        assert density_spectrum_sup(n, dim, panels) == _density_spectrum_sup_by_lists(
-            n, dim, panels
-        ), (n, dim, panels)
-        shared += _shares_a_panel(n, dim, panels)
-    assert shared >= 20
+        reference = _density_spectrum_sup_by_lists(n, dim, panels)
+        assert density_spectrum_sup(n, dim) == pytest.approx(reference, abs=1e-5)
+
+
+def test_state_cdf_matches_quadrature():
+    # F_N(x) against the integral of phi_N^2 from -40, where the density
+    # is 0.0, summed over half-unit steps up to x
+    xs = [-20.0 + 0.5 * i for i in range(83)]
+    for n in (0, 1, 3, 10, 60, 200):
+        def density(t):
+            return hermite_density_grid(n, (t,))[0]
+
+        parts = []
+        expected = []
+        for a, b in zip([-40.0] + xs, xs):
+            value, _ = scipy.integrate.quad(
+                density, a, b, epsabs=1e-14, epsrel=1e-12, limit=200
+            )
+            parts.append(value)
+            expected.append(math.fsum(parts))
+        for x, f, g in zip(xs, _state_cdf(n, xs), expected):
+            assert abs(f - g) <= 1e-12, (n, x)
+
+
+def test_density_spectrum_sup_checks_the_level_before_the_eigensolve(monkeypatch):
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(spectral, "reconstruct_state_measure", eigensolve)
+    with pytest.raises(CapExceeded, match="^density level 201 exceeds the cap 200$"):
+        density_spectrum_sup(201, 300)
+    with pytest.raises(ValueError, match="^number state index must be an int"):
+        density_spectrum_sup(2.0, 300)
 
 
 def _peak_bytes(call):
@@ -503,8 +553,8 @@ def _peak_bytes(call):
 
 
 def test_density_spectrum_sup_memory_does_not_follow_the_panels():
-    # a grid of 20,000 panels held as lists takes about 2.6 MB
-    assert _peak_bytes(lambda: density_spectrum_sup(5, 133, panels=20000)) < 500_000
+    # the reference's grid of 20,000 panels held as lists takes about 2.6 MB
+    assert _peak_bytes(lambda: density_spectrum_sup(5, 133)) < 500_000
 
 
 def test_full_selfcheck_memory_is_bounded():
@@ -546,11 +596,6 @@ def test_reconstructed_odd_moments_cancel_to_conditioning():
         assert abs(measure.moment(order)) <= 1e-12 * absolute
 
 
-def test_density_spectrum_sup_needs_a_panel():
-    with pytest.raises(ValueError, match="panels must be >= 1, got 0"):
-        density_spectrum_sup(0, 10, panels=0)
-
-
 def test_density_spectrum_sup_small():
-    assert density_spectrum_sup(0, 96, panels=6000) < 5e-3
-    assert density_spectrum_sup(2, 98, panels=6000) < 5e-3
+    assert density_spectrum_sup(0, 96) < 5e-3
+    assert density_spectrum_sup(2, 98) < 5e-3
