@@ -308,7 +308,6 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     scale = _parse_scale(ns.scale)
 
     from .spectral import (
-        DENSITY_LEVEL_CAP,
         ks_distance_to_arcsine,
         lossless_order,
         reconstruct_state_measure,
@@ -317,8 +316,6 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     scale = _resolve_scale(scale, seq, state)
     if ns.density and seq.kind != "standard":
         raise ValueError("--density is defined for the standard sequence only")
-    if ns.density:  # no eigensolve for a density over the cap
-        _index(state, "density level", cap=DENSITY_LEVEL_CAP)
     measure = reconstruct_state_measure(seq, state, dim, scale=scale)
     lossless = lossless_order(state, dim)
     if lossless <= 2:

