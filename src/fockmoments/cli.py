@@ -14,10 +14,11 @@ the function parses and checks its own arguments before any work.
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration,
 validation error or an ``--out`` or ``--plot`` path that cannot be
 written, 3 computational cap exceeded, a ``reconstruct`` truncation below
-K = N + 2, or eigensolver failure.  A
-``--plot`` file is written last, so when it fails the table has already
-been written.  Output is a pure function of the arguments; reruns are
-byte-identical.
+K = N + 2, or eigensolver failure.  A ``--plot`` SVG is built and checked
+before any output, so a plot that cannot be drawn fails with nothing
+written; the file is written last, so when writing it fails the table has
+already been written.  Output is a pure function of the arguments; reruns
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -252,13 +253,11 @@ def cmd_converge(ns: argparse.Namespace) -> int:
     from .moments import convergence_table
 
     rows = convergence_table(seq, states, orders, scale=scale)
-    # plot points before any output, so a difference past the float range
-    # fails with nothing written
-    series = []
+    svg = None
     if ns.plot:
-        from .svgplot import _convergence_series
+        from .svgplot import _convergence_plot
 
-        series = _convergence_series(rows, orders)
+        svg = _convergence_plot(rows)
     names = ("scaled_moment", "target", "abs_diff", "env_lo", "env_hi")
     meta = None
     if ns.format == "json":
@@ -274,11 +273,7 @@ def cmd_converge(ns: argparse.Namespace) -> int:
             for name, v in zip(names, values)
         )))
     _emit_table(ns, meta, ("N", "order", *names), cells)
-    if series:
-        from .svgplot import line_plot
-
-        title, ylabel = "Distance to arcsine moments", "|scaled moment - target|"
-        svg = line_plot(series, title=title, xlabel="N", ylabel=ylabel, loglog=True)
+    if svg:
         Path(ns.plot).write_text(svg, encoding="utf-8")
     elif ns.plot:
         print(
@@ -330,6 +325,11 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
         density_pts = _density_points(
             state, scale, measure.atoms[0][0], measure.atoms[-1][0]
         )
+    svg = None
+    if ns.plot:
+        from .svgplot import _reconstruction_plot
+
+        svg = _reconstruction_plot(measure.atoms, density_pts, state, dim)
 
     if ns.format == "json":
         payload = {
@@ -367,10 +367,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
         lines.append(f"ks_to_arcsine = {ks!r}")
         _emit(ns, "\n".join(lines) + "\n")
 
-    if ns.plot:
-        from .svgplot import _reconstruction_plot
-
-        svg = _reconstruction_plot(measure.atoms, density_pts, state, dim)
+    if svg:
         Path(ns.plot).write_text(svg, encoding="utf-8")
     return 0
 

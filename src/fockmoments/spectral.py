@@ -401,10 +401,11 @@ def lossless_order(state: int, dim: int) -> int:
     """Largest moment order the K-level truncation reproduces exactly.
 
     A power of the one-step level walk starting and ending at N feels the
-    truncation only beyond order 2 (K - 1 - N).
+    truncation only beyond order 2 (K - 1 - N), so K must hold the state:
+    K >= N + 1.
     """
     n = state_index(state)
-    return 2 * (_index(dim, "truncation dimension", least=1) - 1 - n)
+    return 2 * (_index(dim, "truncation dimension", least=n + 1) - 1 - n)
 
 
 def reconstruct_state_measure(

@@ -3,8 +3,8 @@
 Produces standalone SVG markup from (label, points) series.  Output is a
 pure function of the input: coordinates are formatted with fixed
 precision and nothing (timestamps, ids, randomness) varies between runs.
-The series of the CLI's ``--plot`` files are built here too, so a call
-without ``--plot`` never loads them.
+The CLI's ``--plot`` files are built here too, each checked for values
+a plot cannot hold, so a call without ``--plot`` never loads them.
 """
 
 from __future__ import annotations
@@ -55,26 +55,16 @@ def line_plot(
 ) -> str:
     """Render series of (x, y) points as an SVG line chart string.
 
-    With loglog=True both axes are log10 scaled and points with a
-    nonpositive coordinate are dropped.
+    Every series holds at least one point.  With loglog=True both axes
+    are log10 scaled, so every coordinate must be positive.
     """
-    cleaned: list[tuple[str, list[tuple[float, float]]]] = []
-    for label, points in series:
-        kept = []
-        for x, y in points:
-            if loglog:
-                if x <= 0.0 or y <= 0.0:
-                    continue
-                kept.append((math.log10(x), math.log10(y)))
-            else:
-                kept.append((float(x), float(y)))
-        if kept:
-            cleaned.append((label, kept))
-    if not cleaned:
-        raise ValueError("nothing to plot: every series is empty")
-
-    xs = [x for _, pts in cleaned for x, _ in pts]
-    ys = [y for _, pts in cleaned for _, y in pts]
+    if loglog:
+        series = [
+            (label, [(math.log10(x), math.log10(y)) for x, y in points])
+            for label, points in series
+        ]
+    xs = [x for _, pts in series for x, _ in pts]
+    ys = [y for _, pts in series for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -135,7 +125,7 @@ def line_plot(
         f'transform="rotate(-90 16 {cy:.2f})">{escape(ylabel)}</text>',
     ]
 
-    for idx, (label, pts) in enumerate(cleaned):
+    for idx, (label, pts) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         parts.append(
@@ -162,21 +152,25 @@ def line_plot(
     return "\n".join(parts) + "\n"
 
 
-def _convergence_series(rows: Sequence, orders: Sequence[int]) -> list[Series]:
+def _convergence_plot(rows: Sequence) -> str | None:
     """``converge --plot``: |scaled moment - target| against N per order,
-    from ``convergence_table`` rows, without the zeros a log axis drops
-    (N = 0, or a difference of 0)."""
-    series = []
-    for order in sorted(set(orders)):
-        name = f"order {order} abs_diff"
-        pts = [
-            (float(r.state), to_float(r.abs_diff, f"{name} at N = {r.state}"))
-            for r in rows
-            if r.order == order and r.state > 0 and r.abs_diff > 0
-        ]
-        if pts:
-            series.append((f"order {order}", pts))
-    return series
+    from ``convergence_table`` rows, or None when no point is left.  A log
+    axis has no place for N = 0 or a difference that is 0, exactly or as a
+    float, so those rows are dropped before N is converted."""
+    by_order: dict[int, list[tuple[float, float]]] = {}
+    # order by order, so the first value past the float range is the lowest order's
+    for r in sorted(rows, key=lambda r: r.order):
+        if r.state == 0:
+            continue
+        diff = to_float(r.abs_diff, f"order {r.order} abs_diff at N = {r.state}")
+        if diff:
+            n = to_float(r.state, f"N = {r.state}")
+            by_order.setdefault(r.order, []).append((n, diff))
+    if not by_order:
+        return None
+    series = [(f"order {k}", pts) for k, pts in by_order.items()]
+    title, ylabel = "Distance to arcsine moments", "|scaled moment - target|"
+    return line_plot(series, title=title, xlabel="N", ylabel=ylabel, loglog=True)
 
 
 def _reconstruction_plot(
@@ -191,7 +185,10 @@ def _reconstruction_plot(
     for i, (x, w) in enumerate(atoms):
         lo, hi = max(i - 1, 0), min(i + 1, last)
         gap = (xs[hi] - xs[lo]) / (hi - lo) if last else 1.0
-        est.append((x, w / gap))
+        height = w / gap
+        if height == math.inf:
+            raise ValueError(f"density estimate at x = {x!r} is too large for a float")
+        est.append((x, height))
     edge = math.sqrt(2.0) - 0.02
     grid = (-edge + 2 * edge * i / 200 for i in range(201))
     arcsine = [(x, arcsine_density(x)) for x in grid]

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.dom.minidom
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +43,16 @@ FLOAT_RANGE_CASES = [
     (["converge", "--N", "1,2", "--orders", "2", "--scale", "1/" + BIG,
       "--plot", "x.svg"], "order 2 abs_diff at N = 1"),
     (["classical", "--A2=1e-400", "--orders", "2"], "--A2"),
+    # a plotted N past the float range, its difference 1/(2N) a subnormal
+    (["converge", "--N", f"1,{10**309}", "--orders", "2", "--plot", "x.svg"],
+     f"N = {10**309}"),
+    # atoms at +-3.1e-312, where weight over gap overflows
+    (["reconstruct", "--jacobi", "explicit:1e-323,1e-323", "--N", "0", "--K", "3",
+      "--scale", "1e300", "--plot", "n.svg"], "density estimate at x = "),
+    # the differences are checked an order at a time: order 4 at N = 1
+    # passes the float range too, but order 2 comes first
+    (["converge", "--N", "1,2", "--orders", "2,4", "--scale", "1e-308",
+      "--plot", "x.svg"], "order 2 abs_diff at N = 2"),
 ]
 
 # output paths that cannot be written, relative to an empty directory
@@ -191,23 +203,18 @@ def test_converge_plot_svg(capsys, tmp_path):
 
 def test_converge_plot_skipped_when_all_diffs_zero(capsys, tmp_path):
     plot = tmp_path / "empty.svg"
-    code, out, err = run_cli(
-        capsys,
-        [
-            "converge",
-            "--jacobi",
-            "q=0",
-            "--N",
-            "1,2",
-            "--orders",
-            "2",
-            "--plot",
-            str(plot),
-        ],
-    )
-    assert code == 0
-    assert "no plot written" in err
-    assert not plot.exists()
+    scale = Fraction(3, 2) + Fraction(1, 10**400)
+    for args in [
+        ["--jacobi", "q=0", "--N", "1,2", "--orders", "2"],
+        # exactly 0 at an N past the float range: N is never converted
+        ["--jacobi", "q=0", "--N", str(10**309), "--orders", "2,4"],
+        # a difference of about 7e-401: above 0, but 0.0 as a float
+        ["--N", "1", "--orders", "2", "--scale", str(scale)],
+    ]:
+        code, out, err = run_cli(capsys, ["converge", *args, "--plot", str(plot)])
+        assert code == 0 and out
+        assert err == "note: no nonzero difference at N >= 1, no plot written\n"
+        assert not plot.exists()
 
 
 def test_converge_plot_skipped_at_n_zero(capsys, tmp_path):
@@ -899,7 +906,9 @@ def test_integer_flags_exit_by_the_one_rule(case):
 POSITIVE_TEXTS = st.one_of(
     st.integers(1, 40).map(str),
     st.tuples(st.integers(1, 40), st.integers(1, 40)).map("{0[0]}/{0[1]}".format),
-    st.sampled_from(["0.5", "2.25", " 5/3 ", "1e400", "1e-400", "1/1" + "0" * 400]),
+    st.sampled_from([
+        "0.5", "2.25", " 5/3 ", "1e400", "1e-400", "1e-323", "1/1" + "0" * 400,
+    ]),
 )
 REFUSED_TEXTS = st.one_of(
     st.integers(-40, 0).map(str),
@@ -968,8 +977,8 @@ def _jacobi_values(draw):
 
 @st.composite
 def _rational_argvs(draw):
-    """An argv with good integer flags, and the first rational flag it
-    parses that the rule refuses, if any."""
+    """An argv with good integer flags, the first rational flag it parses
+    that the rule refuses, if any, and whether to add a --plot file."""
     command = draw(st.sampled_from(sorted(RATIONAL_FLAGS)))
     argv = [command, "--format", draw(st.sampled_from(FORMATS[command]))]
     for flag in INT_FLAGS[command]:
@@ -990,20 +999,25 @@ def _rational_argvs(draw):
         argv.append(f"{flag}={value}")
         if refused and refused_flag is None:
             refused_flag = flag
-    return argv, refused_flag
+    plot = command in ("converge", "reconstruct") and draw(st.booleans())
+    return argv, refused_flag, plot
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_rational_argvs())
 def test_rational_flags_exit_by_the_one_rule(case):
-    argv, refused_flag = case
+    argv, refused_flag, plot = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if plot:
+            argv = [*argv, f"--plot={tmp}/plot.svg"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = os.listdir(tmp)
     err = err.getvalue()
     assert code in (0, 2, 3)
     if code:
-        assert out.getvalue() == ""
+        assert out.getvalue() == "" and written == []
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert "error:" not in err

@@ -380,7 +380,7 @@ INTEGER_ARGUMENTS = {
         "truncation dimension", 1, None,
     ),
     "lossless_order-dim": (
-        lambda v: lossless_order(0, v), "truncation dimension", 1, None
+        lambda v: lossless_order(2, v), "truncation dimension", 3, None
     ),
     "hermite_density_grid": (
         lambda v: hermite_density_grid(v, [0.0]),
