@@ -32,8 +32,7 @@ _HOME = {
         ),
         "moments": (
             "ConvergenceRow", "WORD_ORDER_CAP", "convergence_table", "moment_by_words",
-            "moment_envelope", "moments_by_walk", "walk_returns",
-            "word_matrix_element",
+            "moment_envelope", "moments_by_walk", "word_matrix_element",
         ),
         "spectral": (
             "DiscreteMeasure", "EIGEN_DIM_CAP", "Tridiagonal", "density_spectrum_sup",

@@ -27,8 +27,8 @@ class TruncationTooSmall(ValueError):
 
 
 class EigensolverFailure(RuntimeError):
-    """An eigensolver iteration did not converge, or the tracked eigenvector
-    row lost orthonormality."""
+    """An eigensolver iteration did not converge, the tracked eigenvector
+    row lost orthonormality, or an eigenvalue is not finite."""
 
 
 def as_fraction(value: Union[int, str, Fraction]) -> Fraction:

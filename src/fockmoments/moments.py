@@ -2,10 +2,10 @@
 
 The position observable is X = (a + a*) / sqrt(2).  Its moments in the
 N-th number state are computed either by summing matrix elements of all
-balanced ladder words (the combinatorial route) or by one integer pass
-of the tridiagonal level walk (the linear-algebra route).  Both are
-exact over the rationals and must agree identically; keeping both is the
-point, they cross-check each other.
+balanced ladder words (``moment_by_words``, the combinatorial route) or
+by one integer pass of the tridiagonal level walk (``moments_by_walk``,
+the linear-algebra route).  Both are exact over the rationals and must
+agree identically; keeping both is the point, they cross-check each other.
 
 Moments can be rescaled by a positive variance s, replacing X with
 X / sqrt(s).  Under the canonical scale s = omega_N the even moments of
@@ -89,7 +89,7 @@ def moment_by_words(
     integer weights D_k = d omega_k (d their common denominator): a down
     step from level k multiplies the prefix by D_k, one from level 0
     kills the word.  Each word is its own leaf and nothing is grouped by
-    level, so the sum stays independent of ``walk_returns``.
+    level, so the sum stays independent of ``moments_by_walk``.
     """
     n = state_index(state)
     s = _as_positive(scale, "scale")
@@ -130,45 +130,6 @@ def moment_by_words(
     return Fraction(words(m, m, m, 1), d**m) / (2 * s) ** m
 
 
-def walk_returns(
-    seq: JacobiSequence, state: int, max_order: int
-) -> list[Fraction]:
-    """Exact diagonal powers (B^j)[N][N] for every j = 0 .. max_order, in one pass.
-
-    In the number basis X is symmetric tridiagonal with zero diagonal and
-    diagonally similar to B, with ones above the diagonal and omega_k / 2
-    below; both have the same diagonal powers.  (B^j)[N][N] sums, over
-    the level walks of length j from N back to N, the product of
-    omega_k / 2 over the up steps k - 1 -> k (Flajolet, Discrete Math.
-    32, 1980).  Such a walk of length <= M = max_order stays within M/2
-    of N, so only omega up to N + M/2 is read, and after step j only the
-    levels within M - j of N are kept.  The up weights are integers
-    W_k = d omega_k / 2, d their common denominator, so entry j is the
-    integer at level N over d^(j/2).  No parity shortcut is taken: odd
-    entries come out 0 by computed cancellation, so callers can verify it.
-    """
-    n = state_index(state)
-    _index(max_order, "moment order")
-    lo, hi = max(0, n - max_order // 2), n + max_order // 2
-    halves = [seq.omega(k) / 2 for k in range(lo + 1, hi + 1)]
-    d = math.lcm(*(w.denominator for w in halves))
-    # up[i] weighs the step into window level lo + i from the level below
-    up = [0] + [w.numerator * (d // w.denominator) for w in halves]
-    width, at = hi - lo + 1, n - lo
-    # vec[1 + i] holds level lo + i, between one zero pad at each end
-    vec = [0] * (width + 2)
-    vec[1 + at] = 1
-    out = [Fraction(1)]
-    for j in range(1, max_order + 1):
-        reach = min(j, max_order - j)
-        a, b = max(0, at - reach), min(width - 1, at + reach)
-        steps = zip(up[a : b + 1], vec[a : b + 1], vec[a + 2 : b + 3])
-        band = [w * below + above for w, below, above in steps]
-        vec = [0] * (a + 1) + band + [0] * (width - b)
-        out.append(Fraction(vec[1 + at], d ** (j // 2)))
-    return out
-
-
 def moments_by_walk(
     seq: JacobiSequence,
     state: int,
@@ -177,14 +138,50 @@ def moments_by_walk(
 ) -> list[Fraction]:
     """Moments (B^n)[N][N] / s^(n/2) at each of orders, from one walk pass.
 
-    Odd orders short-circuit to 0, so the pass runs only to the largest
-    even order and reads no weight that the word engine would not.
-    orders may be any iterable; it is read once.
+    In the number basis X is symmetric tridiagonal with zero diagonal and
+    diagonally similar to B, with ones above the diagonal and omega_k / 2
+    below; both have the same diagonal powers.  (B^j)[N][N] sums, over
+    the level walks of length j from N back to N, the product of
+    omega_k / 2 over the up steps k - 1 -> k (Flajolet, Discrete Math.
+    32, 1980).  The pass runs to the largest even order asked for, M.  A
+    walk of length <= M stays within M/2 of N, so only omega up to
+    N + M/2 is read, and after step j only the levels within M - j of N
+    are kept.  The up weights are integers W_k = d omega_k / 2, d their
+    common denominator, so (B^j)[N][N] is the integer at level N over
+    d^(j/2); a Fraction is built only at the orders asked for.  An odd
+    order up to M is read from the pass, where it comes out 0 by computed
+    cancellation, so callers can verify it; an odd order above M is 0
+    without lengthening the pass.  orders may be any iterable; it is read
+    once.
     """
     s = _as_positive(scale, "scale")
     orders = [_index(k, "moment order") for k in orders]
-    walk = walk_returns(seq, state, max((k for k in orders if k % 2 == 0), default=0))
-    return [Fraction(0) if k % 2 else walk[k] / s ** (k // 2) for k in orders]
+    n = state_index(state)
+    top = max((k for k in orders if k % 2 == 0), default=0)
+    lo, hi = max(0, n - top // 2), n + top // 2
+    halves = [seq.omega(k) / 2 for k in range(lo + 1, hi + 1)]
+    d = math.lcm(*(w.denominator for w in halves))
+    # up[i] weighs the step into window level lo + i from the level below
+    up = [0] + [w.numerator * (d // w.denominator) for w in halves]
+    width, at = hi - lo + 1, n - lo
+    # vec[1 + i] holds level lo + i, between one zero pad at each end
+    vec = [0] * (width + 2)
+    vec[1 + at] = 1
+    # returns[j] is d^(j/2) (B^j)[N][N]
+    returns = [1]
+    for j in range(1, top + 1):
+        reach = min(j, top - j)
+        a, b = max(0, at - reach), min(width - 1, at + reach)
+        steps = zip(up[a : b + 1], vec[a : b + 1], vec[a + 2 : b + 3])
+        band = [w * below + above for w, below, above in steps]
+        vec = [0] * (a + 1) + band + [0] * (width - b)
+        returns.append(vec[1 + at])
+    return [
+        Fraction(returns[k] * s.denominator ** (k // 2), (d * s.numerator) ** (k // 2))
+        if k <= top
+        else Fraction(0)
+        for k in orders
+    ]
 
 
 def moment_envelope(state: int, order: int) -> tuple[Fraction, Fraction]:

@@ -21,7 +21,6 @@ from .moments import (
     moment_by_words,
     moment_envelope,
     moments_by_walk,
-    walk_returns,
     word_matrix_element,
 )
 from .spectral import density_spectrum_sup
@@ -109,14 +108,14 @@ def _suite_envelope(fast: bool) -> Iterator[str | None]:
 def _suite_odd(fast: bool) -> Iterator[str | None]:
     """Odd diagonal walk powers and odd word sums vanish exactly.
 
-    Uses walk_returns, which takes no parity shortcut, and sums matrix
-    elements over every word of each odd length.
+    The walk runs one even order past the odd ones, so they are computed,
+    not short-circuited; the word sums take every word of each odd length.
     """
     max_n = 4 if fast else 8
     max_order = 5 if fast else 9
     for label, seq in _sequences():
         for n in range(max_n + 1):
-            walk = walk_returns(seq, n, max_order)
+            walk = moments_by_walk(seq, n, range(max_order + 2))
             for order in range(1, max_order + 1, 2):
                 yield None if walk[order] == 0 else (
                     f"{label}, N={n}, order={order}: walk power {walk[order]}"

@@ -322,9 +322,10 @@ def eigendecompose(
 
     Returns (eigenvalues, squared_components): the eigenvalues in
     ascending order, and the squared entries of the requested row of the
-    eigenvector matrix at each of them, which sum to 1.  The diagonal
-    must be zero, as every position matrix's is; any other diagonal
-    raises ValueError.
+    eigenvector matrix at each of them, which sum to 1; a row that does
+    not, or an eigenvalue that is not finite, raises EigensolverFailure.
+    The diagonal must be zero, as every position matrix's is; any other
+    diagonal raises ValueError.
     The half-size bidiagonal SVD of ``_golub_kahan`` deflates on the
     machine-epsilon test |e_m| + |d_m| + |d_m+1| == |d_m| + |d_m+1| and
     gives each singular value at most ``_MAX_SWEEPS`` (50) implicit
@@ -352,6 +353,8 @@ def eigendecompose(
             f"eigenvector row lost orthonormality: squared components sum "
             f"to {total!r}"
         )
+    if not all(map(math.isfinite, eigenvalues)):
+        raise EigensolverFailure(f"eigenvalues are not all finite: {eigenvalues!r}")
     return eigenvalues, squared
 
 

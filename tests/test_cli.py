@@ -122,6 +122,9 @@ def test_moments_text_single_value(capsys):
     )
     assert code == 0
     assert out == "4 123/64\n"
+    # an odd order past every even one is 0 without a walk, however large
+    code, out, err = run_cli(capsys, ["moments", "--orders", "99999999999999999999"])
+    assert (code, out, err) == (0, "99999999999999999999 0\n", "")
 
 
 def test_moments_engines_print_identical_tables(capsys):

@@ -30,7 +30,6 @@ from fockmoments.moments import (
     moment_by_words,
     moment_envelope,
     moments_by_walk,
-    walk_returns,
 )
 from fockmoments.spectral import (
     EIGEN_DIM_CAP,
@@ -309,12 +308,14 @@ def test_canonical_scale():
         canonical_scale(STANDARD, 0)
 
 
-# every public call that takes a moment order, and convergence_table's
-# states, with the index name its error carries
+# every public call that takes a moment order, and the states of
+# moments_by_walk and convergence_table, with the index name its error carries
 INDEXED_CALLS = {
     "moment_by_words": (lambda v: moment_by_words(STANDARD, 2, v), "moment order"),
-    "walk_returns": (lambda v: walk_returns(STANDARD, 2, v), "moment order"),
     "moments_by_walk": (lambda v: moments_by_walk(STANDARD, 2, [v]), "moment order"),
+    "moments_by_walk-state": (
+        lambda v: moments_by_walk(STANDARD, v, [2]), "number state index"
+    ),
     "moment_envelope": (lambda v: moment_envelope(2, v), "moment order"),
     "convergence_table-order": (
         lambda v: convergence_table(STANDARD, [1], [v]), "moment order"

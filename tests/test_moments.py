@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -15,7 +16,6 @@ from fockmoments.moments import (
     moment_by_words,
     moment_envelope,
     moments_by_walk,
-    walk_returns,
     word_matrix_element,
 )
 from fockmoments.selfcheck import _standard_closed_form
@@ -165,6 +165,8 @@ def test_word_engine_fails_like_word_definition():
 def test_moment_trivial_orders():
     assert [moment_by_words(STANDARD, 5, k) for k in (0, 1, 7)] == [1, 0, 0]
     assert moments_by_walk(STANDARD, 5, (0, 1, 7)) == [1, 0, 0]
+    # an odd order past the last even one is 0 without a longer pass
+    assert moments_by_walk(STANDARD, 0, [10**20 - 1]) == [0]
 
 
 def test_engines_agree_exactly():
@@ -190,23 +192,47 @@ def test_tridiagonal_against_float_matrix_power():
         assert abs(power[n, n] - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
-def test_walk_returns_no_parity_shortcut():
+def test_walk_odd_orders_vanish_by_cancellation():
+    # asked beside the next even order, an odd order is read from the pass
     for seq in (STANDARD, Q_HALF):
         for n in range(0, 6):
-            assert walk_returns(seq, n, 0)[0] == 1
+            assert moments_by_walk(seq, n, [0]) == [1]
             for order in (1, 3, 5, 7):
-                assert walk_returns(seq, n, order)[order] == 0
+                assert moments_by_walk(seq, n, range(order + 2))[order] == 0
 
 
-def test_walk_returns_every_order_in_one_pass():
+def test_walk_every_order_in_one_pass():
     for seq in SEQUENCES:
         for n in (0, 1, 5):
-            walk = walk_returns(seq, n, 14)
+            walk = moments_by_walk(seq, n, range(15))
             assert len(walk) == 15
-            assert walk == [walk_returns(seq, n, j)[j] for j in range(15)]
+            # a pass that stops at order j, or at j + 1 for an odd j
+            assert walk == [
+                moments_by_walk(seq, n, range(j + 1 + j % 2))[j] for j in range(15)
+            ]
     for n in (0, 1, 7, 300):
-        walk = walk_returns(STANDARD, n, 60)
+        walk = moments_by_walk(STANDARD, n, range(61))
         assert walk == [_standard_closed_form(n, j) for j in range(61)]
+
+
+def test_walk_values_pinned():
+    # SHA-256 of the values' repr: orders to 161 on q, explicit and standard
+    # sequences, past what the word engine and the closed form check
+    seqs = [JacobiSequence.q_deformed(q) for q in ("0", "1/3", "2/3", "1")]
+    seqs += [
+        JacobiSequence.explicit([Fraction(2 * k + 1, k % 3 + 2) for k in range(140)]),
+        STANDARD,
+    ]
+    orders = [0, 1, 2, 5, 12, 33, 64, 97, 120, 160, 159, 4, 81, 161]
+    values = []
+    for i, seq in enumerate(seqs):
+        for j, n in enumerate((0, 1, 7, 60)):
+            scale = ("1", "7/5", "1e-5")[(i + j) % 3]
+            top = 160 if j % 2 else 80
+            asked = [k for k in orders if k <= top + 1]
+            values.append(moments_by_walk(seq, n, asked, scale))
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "95585c070a55b36f3640ffd49515760f9db90dc5e0aed1a1920cf183b580ff5a"
 
 
 def test_walk_reads_only_the_half_width_window():
@@ -215,9 +241,10 @@ def test_walk_reads_only_the_half_width_window():
         weights = [Fraction(k + 2, k % 4 + 1) for k in range(n + top // 2)]
         seq = JacobiSequence.explicit(weights)
         even = top - top % 2
-        assert walk_returns(seq, n, top)[even] == moment_by_words(seq, n, even)
+        walk = moments_by_walk(seq, n, range(top + 1))
+        assert walk[even] == moment_by_words(seq, n, even)
         with pytest.raises(ValueError, match="undefined"):
-            walk_returns(JacobiSequence.explicit(weights[:-1]), n, top)
+            moments_by_walk(JacobiSequence.explicit(weights[:-1]), n, range(top + 1))
     # odd orders past the last even one read no further weights
     short = JacobiSequence.explicit(["1", "3/2"])
     assert moments_by_walk(short, 2, [3, 1]) == [0, 0] == [
@@ -258,7 +285,7 @@ def _walk_cases(draw, max_top=12):
 @given(_walk_cases())
 def test_walk_equals_words_property(case):
     seq, n, top = case
-    walk = walk_returns(seq, n, top)
+    walk = moments_by_walk(seq, n, range(top + 1))
     for order in range(top + 1):
         assert walk[order] == moment_by_words(seq, n, order)
         if order % 2:
@@ -315,6 +342,11 @@ def test_moment_input_validation():
         moments_by_walk(STANDARD, 2, [2], scale=Fraction(-1, 2))
     with pytest.raises(CapExceeded):
         moment_by_words(STANDARD, 2, 26)
+    # the scale is checked first, then the orders, then the state
+    with pytest.raises(ValueError, match="^scale"):
+        moments_by_walk(STANDARD, -1, [-2], scale=0)
+    with pytest.raises(ValueError, match="^moment order"):
+        moments_by_walk(STANDARD, -1, [-2])
 
 
 def test_vacuum_moments_match_gaussian():
@@ -335,7 +367,7 @@ def test_moments_by_walk_over_an_order_range():
     assert values[4] == Fraction(123, 64)
     assert values[3] == 0
     with pytest.raises(ValueError):
-        walk_returns(STANDARD, 4, -1)
+        moments_by_walk(STANDARD, 4, range(-1, 7))
 
 
 def test_envelope_frozen_values():

@@ -1,6 +1,10 @@
 import ast
+import os
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +43,45 @@ def test_readme_shows_every_printing_command():
 def test_readme_example_output(capsys, argv, shown):
     assert main(argv) == 0
     assert capsys.readouterr().out == shown
+
+
+def _other_interpreters():
+    """Each python3.10 .. python3.13 on PATH that starts, other than this
+    interpreter's minor version."""
+    found = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        try:
+            started = subprocess.run([exe, "-c", ""], capture_output=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if started.returncode == 0:
+            found.append(exe)
+    return found
+
+
+def test_readme_examples_under_other_interpreters():
+    # pyproject.toml requires Python >= 3.10: replay the examples as
+    # `-m fockmoments` from this source tree under each other version here
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10 .. python3.13 starts")
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(README.parent / "src"),
+        "PYTHONWARNINGS": "error",
+    }
+    for exe in interpreters:
+        for argv, shown in EXAMPLES:
+            done = subprocess.run(
+                [exe, "-m", "fockmoments", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (0, shown, ""), (
+                exe, argv
+            )
 
 
 def _library_block():

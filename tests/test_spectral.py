@@ -201,6 +201,11 @@ def test_eigendecompose_sweep_limit(monkeypatch):
     for row in (0, 2):
         with pytest.raises(EigensolverFailure, match="sum to nan"):
             eigendecompose(Tridiagonal(diag=(0.0,) * 3, offdiag=(1.0, math.inf)), row)
+    # with 2 levels there is no sweep and the weights stay finite, so the
+    # non-finite eigenvalues themselves fail
+    for coupling in (math.nan, math.inf):
+        with pytest.raises(EigensolverFailure, match="not all finite"):
+            eigendecompose(Tridiagonal(diag=(0.0,) * 2, offdiag=(coupling,)), row=0)
 
 
 def test_eigendecompose_spectra_symmetric_and_normalized():
