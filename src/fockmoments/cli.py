@@ -303,14 +303,18 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     scale = _parse_scale(ns.scale)
 
     from .spectral import (
+        _check_truncation,
         ks_distance_to_arcsine,
         lossless_order,
         reconstruct_state_measure,
     )
 
-    scale = _resolve_scale(scale, seq, state)
     if ns.density and seq.kind != "standard":
         raise ValueError("--density is defined for the standard sequence only")
+    # K bounds N, so a canonical scale such as [N]_q is computed for a
+    # small N only
+    _check_truncation(state, dim)
+    scale = _resolve_scale(scale, seq, state)
     measure = reconstruct_state_measure(seq, state, dim, scale=scale)
     lossless = lossless_order(state, dim)
     if lossless <= 2:

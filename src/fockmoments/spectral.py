@@ -151,8 +151,15 @@ def _golub_kahan(
     l < k < m, as a hypot, and applies to them at once the split test
     |e[k-1]| + |d[k-1]| + |d[k]| == |d[k-1]| + |d[k]|, so the next sweep
     starts at the largest k that passes, or rescans only from l down;
-    the blocks are those of a full scan before every sweep.  Returns the
-    eigenvalues and squared entries, unsorted.
+    the blocks are those of a full scan before every sweep.  The tracked
+    row zr starts as a unit vector, and a chase step turns its entries
+    k - 1, k (a row of U, the left rotation) or k, k + 1 (a column of B,
+    the right one), k increasing; so zr is zero below an index top, which
+    a sweep through top lowers by one and a freed zero lowers to l.  The
+    steps whose pair lies below top leave zr alone, as two zeros turn
+    into +-0.0 and weights are squares (a NaN rotation leaves d[m] NaN,
+    which never deflates); the rest run in a loop written once per side.
+    Returns the eigenvalues and squared entries, unsorted.
     """
     dim = len(offdiag) + 1
     c = [float(x) for x in reversed(offdiag)]
@@ -166,7 +173,8 @@ def _golub_kahan(
     pos = len(c) - row
     right = pos % 2 == 0
     zr = [0.0] * n
-    zr[pos // 2] = 1.0
+    top = pos // 2
+    zr[top] = 1.0
     hypot = math.hypot
 
     m = n - 1
@@ -211,6 +219,7 @@ def _golub_kahan(
         if 0.0 in d[l:m + 1]:
             _free_zero(d, e, l, m, zr, right)
             split = -1
+            top = min(top, l)
             continue
         # Wilkinson shift sigma^2: the eigenvalue of the trailing 2x2 block
         # of B^T B nearer its last diagonal entry, taken in units of the
@@ -254,39 +263,101 @@ def _golub_kahan(
             zr[l], z = cs * z + sn * b, cs * b - sn * z
         # once d[k - 1] is written, it, prev = d[k - 2] and off = e[k - 2]
         # are final and nonnegative: test the split at k - 1 there; off
-        # starts as a NaN, which fails the test at l
+        # starts as a NaN, which fails the test at l.  A step before `live`
+        # would turn two zero entries of zr, so it leaves zr alone
         split, prev, off = 0, 0.0, math.nan
-        for k in range(l + 1, m):
-            # zero the bulge h against f
+        live = max(l + 1, min(top - right, m))
+        for k in range(l + 1, live):
+            # zero the bulge h against f.  In the loops a try, which costs
+            # nothing until r is 0, stands in for a test of r
             r = hypot(f, h)
-            cs = f / r if r else 1.0
-            sn = h / r if r else 0.0
+            try:
+                cs, sn = f / r, h / r
+            except ZeroDivisionError:
+                cs, sn = 1.0, 0.0
             d[k - 1] = r
             y = cs * ek + sn * dk1
             dk = cs * dk1 - sn * ek
             ek = e[k]
             h = sn * ek
             ek *= cs
-            if not right:
-                b = zr[k]
-                zr[k - 1], z = cs * z + sn * b, cs * b - sn * z
             dd = prev + r
             if off + dd == dd:
                 split = k - 1
             prev = r
             # zero h against y
             r = hypot(y, h)
-            cs = y / r if r else 1.0
-            sn = h / r if r else 0.0
+            try:
+                cs, sn = y / r, h / r
+            except ZeroDivisionError:
+                cs, sn = 1.0, 0.0
             e[k - 1] = off = r
             dk1 = d[k + 1]
             f = cs * dk + sn * ek
             ek = cs * ek - sn * dk
             h = sn * dk1
             dk1 *= cs
-            if right:
+        # the same steps, turning zr with the right or the left rotation
+        if right:
+            for k in range(live, m):
+                r = hypot(f, h)
+                try:
+                    cs, sn = f / r, h / r
+                except ZeroDivisionError:
+                    cs, sn = 1.0, 0.0
+                d[k - 1] = r
+                y = cs * ek + sn * dk1
+                dk = cs * dk1 - sn * ek
+                ek = e[k]
+                h = sn * ek
+                ek *= cs
+                dd = prev + r
+                if off + dd == dd:
+                    split = k - 1
+                prev = r
+                r = hypot(y, h)
+                try:
+                    cs, sn = y / r, h / r
+                except ZeroDivisionError:
+                    cs, sn = 1.0, 0.0
+                e[k - 1] = off = r
+                dk1 = d[k + 1]
+                f = cs * dk + sn * ek
+                ek = cs * ek - sn * dk
+                h = sn * dk1
+                dk1 *= cs
                 b = zr[k + 1]
                 zr[k], z = cs * z + sn * b, cs * b - sn * z
+        else:
+            for k in range(live, m):
+                r = hypot(f, h)
+                try:
+                    cs, sn = f / r, h / r
+                except ZeroDivisionError:
+                    cs, sn = 1.0, 0.0
+                d[k - 1] = r
+                y = cs * ek + sn * dk1
+                dk = cs * dk1 - sn * ek
+                ek = e[k]
+                h = sn * ek
+                ek *= cs
+                b = zr[k]
+                zr[k - 1], z = cs * z + sn * b, cs * b - sn * z
+                dd = prev + r
+                if off + dd == dd:
+                    split = k - 1
+                prev = r
+                r = hypot(y, h)
+                try:
+                    cs, sn = y / r, h / r
+                except ZeroDivisionError:
+                    cs, sn = 1.0, 0.0
+                e[k - 1] = off = r
+                dk1 = d[k + 1]
+                f = cs * dk + sn * ek
+                ek = cs * ek - sn * dk
+                h = sn * dk1
+                dk1 *= cs
         r = hypot(f, h)
         cs = f / r if r else 1.0
         sn = h / r if r else 0.0
@@ -300,6 +371,8 @@ def _golub_kahan(
         zr[m] = z
         d[m] = cs * dk1 - sn * ek
         e[m - 1] = cs * ek + sn * dk1
+        if l < top <= m:
+            top -= 1
 
     values: list[float] = []
     squared: list[float] = []
@@ -411,6 +484,15 @@ def lossless_order(state: int, dim: int) -> int:
     return 2 * (_index(dim, "truncation dimension", least=n + 1) - 1 - n)
 
 
+def _check_truncation(n: int, dim: int) -> None:
+    """K >= N + 2, then K within the eigensolver's cap."""
+    if _index(dim, "truncation dimension", least=1) < n + 2:
+        raise TruncationTooSmall(
+            f"truncation dimension {dim} is below state + 2 = {n + 2}"
+        )
+    _index(dim, "truncation dimension", cap=EIGEN_DIM_CAP)
+
+
 def reconstruct_state_measure(
     seq: JacobiSequence,
     state: int,
@@ -426,10 +508,7 @@ def reconstruct_state_measure(
     """
     n = state_index(state)
     s = _as_positive(scale, "scale")
-    if _index(dim, "truncation dimension", least=1) < n + 2:
-        raise TruncationTooSmall(
-            f"truncation dimension {dim} is below state + 2 = {n + 2}"
-        )
+    _check_truncation(n, dim)
     matrix = truncated_position_matrix(seq, dim)
     root = math.sqrt(to_float(s, "scale"))
     if root == 0.0:

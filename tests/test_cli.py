@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.dom.minidom
 from fractions import Fraction
 from pathlib import Path
@@ -656,6 +657,49 @@ def test_selfcheck_fault_injection_fails(capsys, monkeypatch):
     assert "4/5 suites passed" in out
 
 
+def _shifted_odd_walk(real):
+    # only the odd-vanishing suite calls the walk at the default scale
+    def walk(seq, n, orders, scale=None):
+        if scale is not None:
+            return real(seq, n, orders, scale=scale)
+        return [v + k % 2 for k, v in zip(orders, real(seq, n, orders))]
+    return walk
+
+
+# per suite, a patch that breaks what one of its checks compares, and the
+# counterexample the suite then reports
+SELFCHECK_BREAKS = [
+    ("engine-equivalence", "moment_by_words",
+     lambda real: lambda seq, n, order, scale=1: real(seq, n, order, scale=scale) + 1,
+     "standard, N=0, order=0, s=1: words 2, walk 1, closed form 1"),
+    ("envelope-containment", "moment_envelope",
+     lambda real: lambda n, order: tuple(v + 1 for v in real(n, order)),
+     "N=1, order=2: 3/2 outside [2, 3]"),
+    ("odd-vanishing", "moments_by_walk", _shifted_odd_walk,
+     "standard, N=0, order=1: walk power 1"),
+    ("odd-vanishing", "word_matrix_element",
+     lambda real: lambda seq, n, word: real(seq, n, word) + 1,
+     "standard, N=0, word a: element 1"),
+    ("hankel-psd", "validate_moments", lambda real: lambda values: False,
+     "standard, N=0, s=1: Hankel matrix not PSD"),
+    ("density-spectrum", "DENSITY_SPECTRUM_TOL", lambda real: 0.0,
+     "N=0, K=96: sup CDF distance 2.041e-03 > 0e+00"),
+]
+
+
+@pytest.mark.parametrize("suite, name, patch, counterexample", SELFCHECK_BREAKS)
+def test_selfcheck_reports_a_real_counterexample(
+    capsys, monkeypatch, suite, name, patch, counterexample
+):
+    import fockmoments.selfcheck as selfcheck
+
+    monkeypatch.setattr(selfcheck, name, patch(getattr(selfcheck, name)))
+    code, out, err = run_cli(capsys, ["selfcheck", "--fast"])
+    assert (code, err) == (1, "")
+    assert f"\nFAIL {suite}: {counterexample}\n" in "\n" + out
+    assert out.endswith("\n4/5 suites passed\n")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -751,14 +795,23 @@ def test_unwritable_output_is_one_line(capsys, monkeypatch, tmp_path, args):
         ["moments", "--jacobi", "explicit:1", "--N", "2", "--orders", "26",
          "--engine", "words"],
         ["reconstruct", "--jacobi", "explicit:1,2,3", "--N", "0", "--K", "5000"],
+        # K is checked before the canonical scale [N]_q, a power of q with
+        # about N bits, is computed
+        ["reconstruct", "--jacobi", "q=1/3", "--N", str(10**309), "--scale",
+         "canonical"],
+        ["reconstruct", "--jacobi", "q=1/3", "--N", str(10**309), "--K", "100",
+         "--scale", "canonical"],
         *(args for args, _ in DIGIT_LIMIT_CASES),
     ],
 )
 def test_caps_exit_3(capsys, monkeypatch, tmp_path, args):
     monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
     code, _, err = run_cli(capsys, args)
     assert code == 3
     assert "error:" in err
+    if "canonical" in args:
+        assert time.perf_counter() - start < 2.0
 
 
 def test_density_past_the_float_range_of_phi_0(capsys):

@@ -1,4 +1,8 @@
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +10,7 @@ import pytest
 import fockmoments
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SUBMODULES = ("cli", "fock", "laws", "moments", "selfcheck", "spectral", "svgplot")
 
 
 def _readme_public_names():
@@ -52,3 +57,23 @@ def test_submodules_and_unknown_names(monkeypatch):
         getattr(fockmoments, "no_such_name")
     for name in ("EigensolverFailure", "TruncationTooSmall"):
         assert getattr(fockmoments, name) is getattr(fockmoments.spectral, name)
+
+
+def test_dir_lists_every_name_and_loads_no_submodule():
+    # a fresh interpreter, so that no other test has loaded a submodule
+    script = (
+        "import json, sys, fockmoments\n"
+        "names = dir(fockmoments)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('fockmoments.'))\n"
+        "print(json.dumps([names, fockmoments.__all__, loaded]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fockmoments.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    names, public, loaded = json.loads(done.stdout)
+    assert set(public) | set(SUBMODULES) <= set(names)
+    assert names == sorted(names)
+    assert loaded == []

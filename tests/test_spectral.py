@@ -155,8 +155,40 @@ def _graded_offdiags(count, seed):
         yield Tridiagonal(diag=(0.0,) * dim, offdiag=tuple(off)), rng.randrange(dim)
 
 
+def _outcome_draws(count, seed):
+    """Seeded off-diagonals from 2^-600 to 2^600, whose squares leave the
+    float range, with inf, NaN and 0.0 mixed in: draws that fail as well
+    as draws that solve."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(2, 40)
+        span = rng.choice((100, 600))
+        special = rng.choice((0.0, 0.0, 0.02, 0.1))
+        off = [
+            rng.choice((math.inf, math.nan, 0.0)) if rng.random() < special
+            else math.ldexp(0.5 + 0.5 * rng.random(), rng.randint(-span, span))
+            for _ in range(dim - 1)
+        ]
+        if rng.random() < 0.3:
+            off.sort(reverse=rng.random() < 0.5)
+        if rng.random() < 0.2:
+            off[rng.randrange(dim - 1)] = rng.choice((math.inf, math.nan))
+        yield Tridiagonal(diag=(0.0,) * dim, offdiag=tuple(off)), rng.randrange(dim)
+
+
+def _outcome(tri, row):
+    try:
+        return repr(eigendecompose(tri, row))
+    except EigensolverFailure as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 # SHA-256 of the repr of every eigendecompose result in each group: the
-# solver's exact floats, to be kept by any change that claims the same bits
+# solver's exact floats, to be kept by any change that claims the same bits.
+# The K = 1536 and 1024 groups are the benchmark's largest solves, with the
+# tracked row on either side of the bidiagonal; at K = 1535 the virtual
+# level's zero is freed by rotations that reach row 300.  The outcomes
+# group holds the exception and message where a draw fails.
 PINNED_SOLVER_DIGESTS = {
     "standard K=448":
         "552b0ecd678b4275b65461e1433355a0c5f940506cb7efeab626773b81d932f7",
@@ -166,6 +198,14 @@ PINNED_SOLVER_DIGESTS = {
         "f5d331ad5396fb33b0a355d59b90aecb4dfac0d4a77aaff92959e6cb0cb20442",
     "graded":
         "e4d5fda997617013631b273464a3d97230cfa41a939b2c81323d0ef8f434a3b4",
+    "standard K=1536":
+        "ac60f2e95b33c604095d48af859ce415d049c38147519b33840b9acb57eb8738",
+    "q=1/2 K=1024":
+        "e4bcdad76fa322db05dab44f33b24efd7a32670f9917bc5aeb9fdc6d6f710ac3",
+    "standard K=1535":
+        "aca0e6ff82d993590250a8c1dab6410b90c905f23b86710a28f1d869c8a8a2bd",
+    "outcomes":
+        "c086b4c4b48d448191b4bb3dedfb77234b13fee4ce143f980e9d35146f188856",
 }
 
 
@@ -177,10 +217,18 @@ def test_eigendecompose_bits_pinned():
         "standard K=449": [(truncated_position_matrix(STANDARD, 449), 200)],
         "q=1/2 K=512": [(truncated_position_matrix(Q_HALF, 512), 3)],
         "graded": list(_graded_offdiags(200, seed=1965)),
+        "standard K=1536": [
+            (truncated_position_matrix(STANDARD, 1536), row) for row in (119, 300)
+        ],
+        "q=1/2 K=1024": [
+            (truncated_position_matrix(Q_HALF, 1024), row) for row in (288, 289)
+        ],
+        "standard K=1535": [(truncated_position_matrix(STANDARD, 1535), 300)],
+        "outcomes": list(_outcome_draws(300, seed=1969)),
     }
     digests = {}
     for name, cases in groups.items():
-        text = "\n".join(repr(eigendecompose(tri, row)) for tri, row in cases)
+        text = "\n".join(_outcome(tri, row) for tri, row in cases)
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == PINNED_SOLVER_DIGESTS
 
