@@ -23,7 +23,7 @@ _HOME = {
     for module, names in {
         "fock": (
             "CapExceeded", "EigensolverFailure", "JacobiSequence", "STANDARD",
-            "TruncationTooSmall", "as_fraction", "canonical_scale", "q_integer",
+            "TruncationTooSmall", "as_fraction", "canonical_scale",
         ),
         "laws": (
             "arcsine_cdf", "arcsine_density", "arcsine_moment", "classical_moment",

@@ -106,10 +106,6 @@ def _parse_scale(text: str) -> Fraction | str:
     return _as_positive(text, "--scale")
 
 
-def _resolve_scale(scale: Fraction | str, seq: JacobiSequence, state: int) -> Fraction:
-    return canonical_scale(seq, state) if scale == "canonical" else scale
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockmoments",
@@ -218,7 +214,7 @@ def cmd_moments(ns: argparse.Namespace) -> int:
 
     from .moments import moment_by_words, moments_by_walk
 
-    scale = _resolve_scale(scale, seq, state)
+    scale = canonical_scale(seq, state) if scale == "canonical" else scale
     if ns.engine == "words":  # largest first: a cap fails before any sum
         by_order = {
             k: moment_by_words(seq, state, k, scale=scale)
@@ -314,7 +310,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     # K bounds N, so a canonical scale such as [N]_q is computed for a
     # small N only
     _check_truncation(state, dim)
-    scale = _resolve_scale(scale, seq, state)
+    scale = canonical_scale(seq, state) if scale == "canonical" else scale
     measure = reconstruct_state_measure(seq, state, dim, scale=scale)
     lossless = lossless_order(state, dim)
     if lossless <= 2:

@@ -101,27 +101,6 @@ def _as_positive(value: Union[int, str, Fraction], name: str) -> Fraction:
     return v
 
 
-def _as_q(value: Union[int, str, Fraction]) -> Fraction:
-    """``value`` as a deformation q; ValueError unless it lies in [0, 1]."""
-    q = _as_rational(value, "q")
-    if not 0 <= q <= 1:
-        raise ValueError(f"q must lie in [0, 1], got {_shown(q)}")
-    return q
-
-
-def q_integer(n: int, q: Union[int, str, Fraction]) -> Fraction:
-    """The q-integer [n]_q = 1 + q + ... + q^(n-1), exactly.
-
-    ``q`` must lie in [0, 1].  [0]_q = 0, and [n]_1 = n.
-    """
-    qf = _as_q(q)
-    _index(n, "q-integer index")
-    if qf == 1:
-        return Fraction(n)
-    # geometric sum (1 - q^n) / (1 - q)
-    return (1 - qf**n) / (1 - qf)
-
-
 # the fields each kind's JSON description takes besides "kind"
 _JSON_FIELDS = {"standard": (), "q": ("q",), "explicit": ("omega",)}
 
@@ -186,7 +165,9 @@ class JacobiSequence(_Value):
                 raise ValueError("q-deformed sequences need a deformation q")
             if omegas:
                 raise ValueError("q-deformed sequences take no explicit list")
-            q = _as_q(q)
+            q = _as_rational(q, "q")
+            if not 0 <= q <= 1:
+                raise ValueError(f"q must lie in [0, 1], got {_shown(q)}")
         elif kind == "explicit":
             if q is not None:
                 raise ValueError("explicit sequences take no deformation q")
@@ -215,10 +196,12 @@ class JacobiSequence(_Value):
     def omega(self, n: int) -> Fraction:
         """The weight omega_n, for n >= 1."""
         _index(n, "Jacobi weight index", least=1)
-        if self.kind == "standard":
+        if self.kind == "standard" or self.q == 1:
             return Fraction(n)
         if self.kind == "q":
-            return q_integer(n, self.q)
+            # [n]_q = 1 + q + ... + q^(n-1) = (b^n - a^n) / (b - a) / b^(n-1)
+            a, b = self.q.numerator, self.q.denominator
+            return Fraction((b**n - a**n) // (b - a), b ** (n - 1))
         if n > len(self.omegas):
             raise ValueError(
                 f"explicit sequence has {len(self.omegas)} weights, "

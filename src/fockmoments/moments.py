@@ -130,6 +130,11 @@ def moment_by_words(
     return Fraction(words(m, m, m, 1), d**m) / (2 * s) ** m
 
 
+# Largest even order the walk runs to: order 3,000 at N = 0 takes about a
+# second, and the time grows about cubically
+_WALK_ORDER_CAP = 100_000
+
+
 def moments_by_walk(
     seq: JacobiSequence,
     state: int,
@@ -151,13 +156,14 @@ def moments_by_walk(
     d^(j/2); a Fraction is built only at the orders asked for.  An odd
     order up to M is read from the pass, where it comes out 0 by computed
     cancellation, so callers can verify it; an odd order above M is 0
-    without lengthening the pass.  orders may be any iterable; it is read
-    once.
+    without lengthening the pass, and an even order above 100,000 raises
+    CapExceeded before it.  orders may be any iterable; it is read once.
     """
     s = _as_positive(scale, "scale")
     orders = [_index(k, "moment order") for k in orders]
     n = state_index(state)
     top = max((k for k in orders if k % 2 == 0), default=0)
+    _index(top, "moment order", cap=_WALK_ORDER_CAP)
     lo, hi = max(0, n - top // 2), n + top // 2
     halves = [seq.omega(k) / 2 for k in range(lo + 1, hi + 1)]
     d = math.lcm(*(w.denominator for w in halves))

@@ -81,9 +81,9 @@ def _free_zero(
     hi: int,
     zr: list[float],
     right: bool,
-) -> None:
+) -> int:
     """Rotate the first zero diagonal entry of the bidiagonal block lo..hi
-    free (Golub & Van Loan, Sec. 8.6.2).
+    free (Golub & Van Loan, Sec. 8.6.2), and return its index.
 
     A zero above the last place frees its row by rotations from the
     left; a zero only in the last place frees its column by rotations
@@ -107,7 +107,7 @@ def _free_zero(
             if j < hi:
                 f = -s * e[j]
                 e[j] *= c
-        return
+        return i
     f = e[hi - 1]
     e[hi - 1] = 0.0
     for j in range(hi - 1, lo - 1, -1):
@@ -122,6 +122,7 @@ def _free_zero(
         if j > lo:
             f = -s * e[j - 1]
             e[j - 1] *= c
+    return i
 
 
 def _golub_kahan(
@@ -154,11 +155,21 @@ def _golub_kahan(
     the blocks are those of a full scan before every sweep.  The tracked
     row zr starts as a unit vector, and a chase step turns its entries
     k - 1, k (a row of U, the left rotation) or k, k + 1 (a column of B,
-    the right one), k increasing; so zr is zero below an index top, which
-    a sweep through top lowers by one and a freed zero lowers to l.  The
-    steps whose pair lies below top leave zr alone, as two zeros turn
-    into +-0.0 and weights are squares (a NaN rotation leaves d[m] NaN,
-    which never deflates); the rest run in a loop written once per side.
+    the right one), k increasing.  The steps whose pair lies below an
+    index top leave zr alone, and the rest run in a loop written once per
+    side.  Each entry k <= m of zr below top is 0 or marked, d[k] = e[k]
+    = 0, so every bit is kept: two zeros turn into +-0.0 and weights are
+    squares (a NaN rotation leaves d[m] NaN, which never deflates), and a
+    marked level lies in no block but as its last, where its zero is
+    freed before any chase, as a zero e[k] splits every scan and
+    rotations write only their block's d and e.  Each case keeps that: a
+    sweep raises top past exact zeros, which underflow leaves, and one
+    through top lowers it by one.  A free turns zr from the tracked side
+    only: from the right on l..m, so top drops to l; from the left, the
+    zero's entry i with each above it in turn, so pairs below top stay
+    zeros, and i, once turned with an entry from top up, is marked.  At a
+    marked level the left rotation has cosine 0 and swaps its entry with
+    entry i, 0 then if the level is below top, and i takes the mark.
     Returns the eigenvalues and squared entries, unsorted.
     """
     dim = len(offdiag) + 1
@@ -217,10 +228,13 @@ def _golub_kahan(
                 if abs(d[i]) + nb == nb:
                     d[i] = 0.0
         if 0.0 in d[l:m + 1]:
-            _free_zero(d, e, l, m, zr, right)
+            if _free_zero(d, e, l, m, zr, right) == m and right:
+                top = min(top, l)
             split = -1
-            top = min(top, l)
             continue
+        # past the entries that underflowed to 0
+        while top < m and not zr[top]:
+            top += 1
         # Wilkinson shift sigma^2: the eigenvalue of the trailing 2x2 block
         # of B^T B nearer its last diagonal entry, taken in units of the
         # block's largest entry so that no square overflows

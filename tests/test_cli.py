@@ -126,6 +126,10 @@ def test_moments_text_single_value(capsys):
     # an odd order past every even one is 0 without a walk, however large
     code, out, err = run_cli(capsys, ["moments", "--orders", "99999999999999999999"])
     assert (code, out, err) == (0, "99999999999999999999 0\n", "")
+    # an even one that large is refused before the walk builds its window
+    code, out, err = run_cli(capsys, ["moments", "--orders", "99999999999999999998"])
+    assert (code, out) == (3, "")
+    assert err == "error: moment order 99999999999999999998 exceeds the cap 100000\n"
 
 
 def test_moments_engines_print_identical_tables(capsys):

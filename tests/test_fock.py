@@ -15,7 +15,6 @@ from fockmoments.fock import (
     STANDARD,
     as_fraction,
     canonical_scale,
-    q_integer,
     state_index,
 )
 from fockmoments.laws import (
@@ -75,7 +74,6 @@ RATIONAL_SITES = [
     ("classical_moment", lambda v: classical_moment(v, 2), "squared amplitude"),
     ("explicit", lambda v: JacobiSequence.explicit(["1", v]), "omega_2"),
     ("q_deformed", JacobiSequence.q_deformed, "q"),
-    ("q_integer", lambda v: q_integer(3, v), "q"),
 ]
 # refused values, each with the message that follows the name
 REFUSED_RATIONALS = [
@@ -110,7 +108,7 @@ def _rational_cases():
                 (label, value, tail.replace("must be positive", "must lie in [0, 1]"))
                 for label, value, tail in cases
                 if value != 0
-            ]
+            ] + [("above one", Fraction(3, 2), " must lie in [0, 1], got 3/2")]
         yield pytest.param(call, name, cases, id=site)
     for name, call in FLAG_SITES:
         yield pytest.param(call, name, REFUSED_TEXTS, id=name)
@@ -155,23 +153,15 @@ def test_str_of_fraction_round_trips():
         assert as_fraction(str(value)) == value
 
 
-def test_q_integer_values():
-    # geometric sums done by hand
-    assert q_integer(3, Fraction(1, 2)) == Fraction(7, 4)
-    assert q_integer(5, 1) == 5
-    assert q_integer(4, 0) == 1
-    assert q_integer(0, Fraction(1, 3)) == 0
-    assert q_integer(1, Fraction(9, 10)) == 1
-    assert q_integer(3, Fraction(1, 3)) == 1 + Fraction(1, 3) + Fraction(1, 9)
-
-
-def test_q_integer_rejects_bad_input():
-    with pytest.raises(ValueError):
-        q_integer(3, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        q_integer(3, -1)
-    with pytest.raises(ValueError):
-        q_integer(-1, Fraction(1, 2))
+@pytest.mark.parametrize("q", ["0", "1", "1/2", "1/3", "2/3", "9/10", "7/11"])
+def test_q_weights_are_geometric_sums(q):
+    # omega_n = [n]_q against the sum 1 + q + ... + q^(n-1), term by term
+    seq = JacobiSequence.q_deformed(q)
+    power, total = Fraction(1), Fraction(0)
+    for n in range(1, 200):
+        total += power
+        power *= Fraction(q)
+        assert seq.omega(n) == total, n
 
 
 def test_standard_sequence_weights():
@@ -356,7 +346,6 @@ def test_every_order_and_state_is_checked_alike(call, name, bad):
 # every other integer argument: its call, the name its error carries, its
 # least value and its cap
 INTEGER_ARGUMENTS = {
-    "q_integer": (lambda v: q_integer(v, "1/2"), "q-integer index", 0, None),
     "JacobiSequence.omega": (
         lambda v: JacobiSequence.q_deformed("1/2").omega(v),
         "Jacobi weight index", 1, None,

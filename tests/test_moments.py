@@ -167,6 +167,11 @@ def test_moment_trivial_orders():
     assert moments_by_walk(STANDARD, 5, (0, 1, 7)) == [1, 0, 0]
     # an odd order past the last even one is 0 without a longer pass
     assert moments_by_walk(STANDARD, 0, [10**20 - 1]) == [0]
+    # an even order past the walk's cap is refused before the pass
+    with pytest.raises(
+        CapExceeded, match="^moment order 100002 exceeds the cap 100000$"
+    ):
+        moments_by_walk(STANDARD, 0, [2, 100001, 100002])
 
 
 def test_engines_agree_exactly():

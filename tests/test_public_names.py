@@ -25,7 +25,7 @@ def test_readme_lists_exactly_the_public_names():
     names = _readme_public_names()
     assert len(names) == len(set(names)), "a name is listed twice"
     assert set(names) == set(fockmoments.__all__)
-    assert len(names) == 32
+    assert len(names) == 31
     assert len(fockmoments.__all__) == len(set(fockmoments.__all__))
     for name in names:
         assert hasattr(fockmoments, name), name

@@ -62,26 +62,54 @@ def _other_interpreters():
     return found
 
 
+def _run_module(exe, argv):
+    """(exit code, stdout, stderr) of `exe -m fockmoments argv` run from
+    this source tree."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(README.parent / "src"),
+        "PYTHONWARNINGS": "error",
+    }
+    done = subprocess.run(
+        [exe, "-m", "fockmoments", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_readme_examples_under_other_interpreters():
     # pyproject.toml requires Python >= 3.10: replay the examples as
     # `-m fockmoments` from this source tree under each other version here
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no other python3.10 .. python3.13 starts")
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(README.parent / "src"),
-        "PYTHONWARNINGS": "error",
-    }
     for exe in interpreters:
         for argv, shown in EXAMPLES:
-            done = subprocess.run(
-                [exe, "-m", "fockmoments", *argv],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert (done.returncode, done.stdout, done.stderr) == (0, shown, ""), (
-                exe, argv
-            )
+            assert _run_module(exe, argv) == (0, shown, ""), (exe, argv)
+
+
+# README shows `reconstruct` elided, so these are checked against this
+# interpreter: the default odd K, an even K, q = 1/2, an explicit list and
+# the density
+RECONSTRUCT_ARGVS = [
+    ["reconstruct", "--N", "5"],
+    ["reconstruct", "--N", "5", "--K", "70", "--scale", "canonical"],
+    ["reconstruct", "--jacobi", "q=1/2", "--N", "3", "--K", "64", "--format", "csv"],
+    ["reconstruct", "--jacobi", "explicit:1,3/2,2,5/2,3,7/2,4,9/2,5", "--N", "2",
+     "--K", "10", "--format", "json"],
+    ["reconstruct", "--N", "4", "--K", "40", "--density"],
+]
+
+
+def test_reconstruct_under_other_interpreters(capsys):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10 .. python3.13 starts")
+    for argv in RECONSTRUCT_ARGVS:
+        code = main(argv)
+        here = capsys.readouterr()
+        for exe in interpreters:
+            assert _run_module(exe, argv) == (code, here.out, here.err), (exe, argv)
 
 
 def _library_block():

@@ -176,6 +176,32 @@ def _outcome_draws(count, seed):
         yield Tridiagonal(diag=(0.0,) * dim, offdiag=tuple(off)), rng.randrange(dim)
 
 
+def _underflow_draws(count, seed):
+    """Seeded off-diagonals with subnormal and near-underflow couplings
+    beside 2^+-600 ones and zeros: chases in which a rotation's hypot
+    underflows to 0 inside either loop, zero prefix or not, on either
+    side."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(3, 30)
+        sort = rng.random()
+        off = []
+        for _ in range(dim - 1):
+            u = rng.random()
+            if u < 0.05:
+                off.append(0.0)
+            elif u < 0.3:
+                mantissa = 0.5 + 0.5 * rng.random()
+                off.append(math.ldexp(mantissa, rng.randint(-1074, -1000)))
+            elif u < 0.5:
+                off.append(1e-300 * rng.random())
+            else:
+                off.append(math.ldexp(0.5 + 0.5 * rng.random(), rng.randint(-600, 600)))
+        if sort < 0.3:
+            off.sort(reverse=rng.random() < 0.5)
+        yield Tridiagonal(diag=(0.0,) * dim, offdiag=tuple(off)), rng.randrange(dim)
+
+
 def _outcome(tri, row):
     try:
         return repr(eigendecompose(tri, row))
@@ -187,8 +213,12 @@ def _outcome(tri, row):
 # solver's exact floats, to be kept by any change that claims the same bits.
 # The K = 1536 and 1024 groups are the benchmark's largest solves, with the
 # tracked row on either side of the bidiagonal; at K = 1535 the virtual
-# level's zero is freed by rotations that reach row 300.  The outcomes
-# group holds the exception and message where a draw fails.
+# level's zero is freed by rotations that reach row 300.  The odd-K groups
+# have the tracked row on either side too: row 300 of K = 1535 and row 200
+# of K = 449 on one, and the other group's rows, README's default
+# `reconstruct --N 5` (K = 69) among them, on the other.  The outcomes
+# and underflow groups hold the exception and message where a draw fails;
+# the underflow draws reach each division guard of the chase loops.
 PINNED_SOLVER_DIGESTS = {
     "standard K=448":
         "552b0ecd678b4275b65461e1433355a0c5f940506cb7efeab626773b81d932f7",
@@ -206,6 +236,10 @@ PINNED_SOLVER_DIGESTS = {
         "aca0e6ff82d993590250a8c1dab6410b90c905f23b86710a28f1d869c8a8a2bd",
     "outcomes":
         "c086b4c4b48d448191b4bb3dedfb77234b13fee4ce143f980e9d35146f188856",
+    "odd K other side":
+        "4fb0686eee672535819b7e33c06475ea7ab076c1929dbae24a9920eac1eb0dea",
+    "underflow":
+        "4fb524c4aceda641b4680b8b903879e9bca08b8c27290766f4733b458ff36773",
 }
 
 
@@ -225,6 +259,12 @@ def test_eigendecompose_bits_pinned():
         ],
         "standard K=1535": [(truncated_position_matrix(STANDARD, 1535), 300)],
         "outcomes": list(_outcome_draws(300, seed=1969)),
+        "odd K other side": [
+            (truncated_position_matrix(STANDARD, 1535), 301),
+            (truncated_position_matrix(STANDARD, 449), 201),
+            (truncated_position_matrix(STANDARD, 69), 5),
+        ],
+        "underflow": list(_underflow_draws(100, seed=25)),
     }
     digests = {}
     for name, cases in groups.items():
