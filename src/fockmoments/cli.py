@@ -46,6 +46,15 @@ from .fock import (
     to_float,
 )
 
+# Deepest nesting a --jacobi JSON value may have; a valid one nests 2
+# deep.  Where json.loads gives up on a deep value depends on the
+# interpreter version and on the stack, so the depth is checked first.
+_JSON_DEPTH_CAP = 100
+
+# Most sine evaluations, orders x panels, that ``classical`` may spend on
+# its quadrature column: 10^7 take a few seconds.
+_QUADRATURE_BUDGET = 10**7
+
 
 def parse_jacobi(text: str) -> JacobiSequence:
     """Parse a --jacobi value.
@@ -64,12 +73,17 @@ def parse_jacobi(text: str) -> JacobiSequence:
             return JacobiSequence.explicit(parts)
         if t.startswith("{"):
             import json
+            import re
+            from itertools import accumulate
 
+            # count brackets outside strings; an unterminated one runs to the end
+            bare = re.sub(r'"(?:[^"\\]|\\.)*"?', "", t, flags=re.S)
+            steps = ((c in "[{") - (c in "]}") for c in bare)
+            if max(accumulate(steps)) > _JSON_DEPTH_CAP:
+                raise ValueError("JSON nests too deeply")
             return JacobiSequence.from_json(json.loads(t))
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"--jacobi: {exc}") from exc
-    except RecursionError:  # from json.loads, or the repr of a deep "kind"
-        raise ValueError("--jacobi: JSON nests too deeply") from None
     raise ValueError(
         "--jacobi must be 'standard', 'q=<rational>', 'explicit:<list>' "
         f"or a JSON object, got {text!r}"
@@ -376,6 +390,8 @@ def cmd_classical(ns: argparse.Namespace) -> int:
     a2 = _as_positive(ns.A2, "--A2")
     orders = _parse_int_list(ns.orders, "--orders")
     panels = _parse_single_int(ns.panels, "--panels", least=16)
+    _index(len(orders) * panels, "quadrature work (orders x panels)",
+           cap=_QUADRATURE_BUDGET)
 
     from .laws import classical_moment, classical_moment_quadrature
 

@@ -221,7 +221,11 @@ class JacobiSequence(_Value):
         if not isinstance(obj, dict):
             raise ValueError("Jacobi sequence description must be an object")
         kind = obj.get("kind")
-        if not isinstance(kind, str) or kind not in _JSON_FIELDS:
+        if not isinstance(kind, str):
+            raise ValueError(
+                f"Jacobi sequence kind must be a string, got {type(kind).__name__}"
+            )
+        if kind not in _JSON_FIELDS:
             raise ValueError(f"unknown Jacobi sequence kind: {kind!r}")
         for name in obj:
             if name not in ("kind", *_JSON_FIELDS[kind]):

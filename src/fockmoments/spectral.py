@@ -156,7 +156,7 @@ def _golub_kahan(
     row zr starts as a unit vector, and a chase step turns its entries
     k - 1, k (a row of U, the left rotation) or k, k + 1 (a column of B,
     the right one), k increasing.  The steps whose pair lies below an
-    index top leave zr alone, and the rest run in a loop written once per
+    index top leave zr alone, and the rest run in one loop for either
     side.  Each entry k <= m of zr below top is 0 or marked, d[k] = e[k]
     = 0, so every bit is kept: two zeros turn into +-0.0 and weights are
     squares (a NaN rotation leaves d[m] NaN, which never deflates), and a
@@ -311,67 +311,41 @@ def _golub_kahan(
             ek = cs * ek - sn * dk
             h = sn * dk1
             dk1 *= cs
-        # the same steps, turning zr with the right or the left rotation
-        if right:
-            for k in range(live, m):
-                r = hypot(f, h)
-                try:
-                    cs, sn = f / r, h / r
-                except ZeroDivisionError:
-                    cs, sn = 1.0, 0.0
-                d[k - 1] = r
-                y = cs * ek + sn * dk1
-                dk = cs * dk1 - sn * ek
-                ek = e[k]
-                h = sn * ek
-                ek *= cs
-                dd = prev + r
-                if off + dd == dd:
-                    split = k - 1
-                prev = r
-                r = hypot(y, h)
-                try:
-                    cs, sn = y / r, h / r
-                except ZeroDivisionError:
-                    cs, sn = 1.0, 0.0
-                e[k - 1] = off = r
-                dk1 = d[k + 1]
-                f = cs * dk + sn * ek
-                ek = cs * ek - sn * dk
-                h = sn * dk1
-                dk1 *= cs
-                b = zr[k + 1]
-                zr[k], z = cs * z + sn * b, cs * b - sn * z
-        else:
-            for k in range(live, m):
-                r = hypot(f, h)
-                try:
-                    cs, sn = f / r, h / r
-                except ZeroDivisionError:
-                    cs, sn = 1.0, 0.0
-                d[k - 1] = r
-                y = cs * ek + sn * dk1
-                dk = cs * dk1 - sn * ek
-                ek = e[k]
-                h = sn * ek
-                ek *= cs
+        # the same steps, turning zr with the left rotation after the first
+        # rotation or with the right one after the second
+        for k in range(live, m):
+            r = hypot(f, h)
+            try:
+                cs, sn = f / r, h / r
+            except ZeroDivisionError:
+                cs, sn = 1.0, 0.0
+            d[k - 1] = r
+            y = cs * ek + sn * dk1
+            dk = cs * dk1 - sn * ek
+            ek = e[k]
+            h = sn * ek
+            ek *= cs
+            if not right:
                 b = zr[k]
                 zr[k - 1], z = cs * z + sn * b, cs * b - sn * z
-                dd = prev + r
-                if off + dd == dd:
-                    split = k - 1
-                prev = r
-                r = hypot(y, h)
-                try:
-                    cs, sn = y / r, h / r
-                except ZeroDivisionError:
-                    cs, sn = 1.0, 0.0
-                e[k - 1] = off = r
-                dk1 = d[k + 1]
-                f = cs * dk + sn * ek
-                ek = cs * ek - sn * dk
-                h = sn * dk1
-                dk1 *= cs
+            dd = prev + r
+            if off + dd == dd:
+                split = k - 1
+            prev = r
+            r = hypot(y, h)
+            try:
+                cs, sn = y / r, h / r
+            except ZeroDivisionError:
+                cs, sn = 1.0, 0.0
+            e[k - 1] = off = r
+            dk1 = d[k + 1]
+            f = cs * dk + sn * ek
+            ek = cs * ek - sn * dk
+            h = sn * dk1
+            dk1 *= cs
+            if right:
+                b = zr[k + 1]
+                zr[k], z = cs * z + sn * b, cs * b - sn * z
         r = hypot(f, h)
         cs = f / r if r else 1.0
         sn = h / r if r else 0.0

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
+import pytest
 
 import fockmoments
 from fockmoments.fock import JacobiSequence, STANDARD
@@ -152,6 +152,7 @@ def test_criterion_06_q_zero_realizes_arcsine_exactly():
 
 
 def test_criterion_07_vacuum_law():
+    np = pytest.importorskip("numpy")
     with report(7, "vacuum moments (2m-1)!!/2^m and density normalization"):
         vacuum = [vacuum_gaussian_moment(2 * m) for m in range(0, 9)]
         assert moments_by_walk(STANDARD, 0, range(0, 17, 2)) == vacuum

@@ -756,7 +756,8 @@ def test_float_range_error_is_one_line(capsys, monkeypatch, tmp_path, args, name
 
 @pytest.mark.parametrize("depth", [1100, 5000])
 def test_deeply_nested_json_jacobi_is_one_line(capsys, monkeypatch, tmp_path, depth):
-    # past the interpreter's recursion limit, where json.loads gives up
+    # past 3.11's recursion limit, where its json.loads gives up and 3.13's
+    # does not: the depth is refused before either parses
     monkeypatch.chdir(tmp_path)
     kind = "[" * depth + "]" * depth
     args = ["moments", "--jacobi", f'{{"kind":{kind}}}', "--N", "1", "--orders", "2"]
@@ -846,6 +847,9 @@ def test_density_past_the_float_range_of_phi_0(capsys):
         # every order's cap is checked before the first sum
         (["moments", "--engine", "words", "--N", "12", "--orders", "24,26"], 3,
          "balanced-word half-length 13 exceeds the cap 12"),
+        # the quadrature's work is checked before its first sine
+        (["classical", "--panels", "100000000"], 3,
+         "quadrature work (orders x panels) 900000000 exceeds the cap 10000000"),
     ],
 )
 def test_integer_flag_errors(capsys, monkeypatch, tmp_path, args, code, line):
@@ -861,7 +865,10 @@ def test_integer_flag_errors(capsys, monkeypatch, tmp_path, args, code, line):
 
     monkeypatch.setattr(fockmoments.moments, "moment_by_words", recorder)
     monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
     err = _one_line_error(capsys, tmp_path, args, code, line)
+    # each cap is checked before the work it bounds
+    assert time.perf_counter() - start < 1.0
     assert err == f"error: {line}\n"
     assert summed == []
 
@@ -1140,6 +1147,17 @@ def test_parse_jacobi_forms():
     for bad in ("", "quux", "q=", "q=x", "explicit:", "{", '{"kind": "z"}'):
         with pytest.raises(ValueError):
             parse_jacobi(bad)
+    # JSON nested up to 100 deep reaches json.loads; deeper is refused first
+    kind = "[" * 99 + "]" * 99
+    with pytest.raises(ValueError, match="kind must be a string, got list$"):
+        parse_jacobi(f'{{"kind":{kind}}}')
+    with pytest.raises(ValueError, match="^--jacobi: JSON nests too deeply$"):
+        parse_jacobi(f'{{"kind":[{kind}]}}')
+    # brackets in a string, closed or not, do not count
+    with pytest.raises(ValueError, match=r"unknown Jacobi sequence kind: '\[{200}'"):
+        parse_jacobi('{"kind":"' + "[" * 200 + '"}')
+    with pytest.raises(ValueError, match="Unterminated string"):
+        parse_jacobi(r'{"kind":"\"' + "[" * 200 + "}")
 
 
 def test_outputs_deterministic_in_process(capsys):

@@ -279,6 +279,11 @@ def test_sequence_json_rejects_malformed():
         JacobiSequence.from_json({"kind": "explicit", "omega": "1"})
     with pytest.raises(ValueError):
         JacobiSequence.from_json(["standard"])
+    # a kind that is not a string is named by its type, not its repr
+    with pytest.raises(ValueError, match="kind must be a string, got int$"):
+        JacobiSequence.from_json({"kind": 5})
+    with pytest.raises(ValueError, match="kind must be a string, got list$"):
+        JacobiSequence.from_json({"kind": [[1, 2]]})
     # a field the kind does not take, and an empty list
     with pytest.raises(ValueError, match="explicit list is empty"):
         JacobiSequence.from_json({"kind": "explicit", "omega": []})

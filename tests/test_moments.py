@@ -3,7 +3,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +184,7 @@ def test_engines_agree_exactly():
 
 def test_tridiagonal_against_float_matrix_power():
     # independent route: dense numpy matrix powers of X
+    np = pytest.importorskip("numpy")
     rng_cases = [(STANDARD, 3, 6), (Q_HALF, 2, 8), (EXPLICIT, 4, 6), (STANDARD, 0, 10)]
     for seq, n, order in rng_cases:
         dim = n + order + 1
@@ -440,6 +440,7 @@ def test_convergence_table_validation():
     with pytest.raises(ValueError):
         convergence_table(STANDARD, [2], [2], scale=0)
     # a NumPy integer is not an int, as everywhere else
+    np = pytest.importorskip("numpy")
     with pytest.raises(ValueError, match="number state index must be an int"):
         convergence_table(STANDARD, [np.int64(2)], [2])
 

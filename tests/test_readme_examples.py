@@ -101,15 +101,34 @@ RECONSTRUCT_ARGVS = [
 ]
 
 
-def test_reconstruct_under_other_interpreters(capsys):
+# a --jacobi JSON value past the recursion limit of 3.11's json.loads,
+# which 3.13's parses
+DEEP_JSON_ARGVS = [
+    ["moments", "--jacobi", f'{{"kind":{"[" * depth + "]" * depth}}}', "--N", "1",
+     "--orders", "2"]
+    for depth in (1100, 5000)
+]
+
+
+def _replay_under_other_interpreters(capsys, argvs):
+    """Each argv's exit code, stdout and stderr under every other
+    interpreter equal this one's."""
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no other python3.10 .. python3.13 starts")
-    for argv in RECONSTRUCT_ARGVS:
+    for argv in argvs:
         code = main(argv)
         here = capsys.readouterr()
         for exe in interpreters:
             assert _run_module(exe, argv) == (code, here.out, here.err), (exe, argv)
+
+
+def test_reconstruct_under_other_interpreters(capsys):
+    _replay_under_other_interpreters(capsys, RECONSTRUCT_ARGVS)
+
+
+def test_deep_json_under_other_interpreters(capsys):
+    _replay_under_other_interpreters(capsys, DEEP_JSON_ARGVS)
 
 
 def _library_block():

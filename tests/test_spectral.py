@@ -6,11 +6,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
 import pytest
-import scipy.integrate
-import scipy.linalg
-import scipy.special
 
 from fockmoments import spectral
 from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD, state_index
@@ -76,7 +72,9 @@ EXPLICIT = JacobiSequence.explicit(
 
 
 def _scipy_check(tri, row, atol):
-    evals, evecs = scipy.linalg.eigh_tridiagonal(
+    np = pytest.importorskip("numpy")
+    linalg = pytest.importorskip("scipy.linalg")
+    evals, evecs = linalg.eigh_tridiagonal(
         np.array(tri.diag), np.array(tri.offdiag)
     )
     values, weights = eigendecompose(tri, row=row)
@@ -85,6 +83,8 @@ def _scipy_check(tri, row, atol):
 
 
 def test_eigendecompose_matches_scipy():
+    np = pytest.importorskip("numpy")
+    linalg = pytest.importorskip("scipy.linalg")
     for seq, dim, row in ((STANDARD, 10, 0), (STANDARD, 50, 3), (Q_HALF, 40, 5), (STANDARD, 200, 7)):
         _scipy_check(truncated_position_matrix(seq, dim), row, 1e-10)
     # zero diagonals of odd and even dimension, tracked from odd and even rows
@@ -106,7 +106,7 @@ def test_eigendecompose_matches_scipy():
         dim = len(powers) + 1
         seq = JacobiSequence.explicit([Fraction(10) ** p for p in powers])
         tri = truncated_position_matrix(seq, dim)
-        evals = scipy.linalg.eigh_tridiagonal(
+        evals = linalg.eigh_tridiagonal(
             np.array(tri.diag), np.array(tri.offdiag), eigvals_only=True
         )
         for row in range(dim):
@@ -118,11 +118,13 @@ def test_eigendecompose_matches_scipy():
 def test_eigendecompose_exact_zero_couplings():
     # a weight that is 0.0 as a float splits the matrix; zeros on the
     # bidiagonal's diagonal are rotated out from the left or the right
+    np = pytest.importorskip("numpy")
+    linalg = pytest.importorskip("scipy.linalg")
     for dim in (4, 5, 8, 9):
         for gap in range(dim - 1):
             offdiag = [1.0 + 0.25 * k for k in range(dim - 1)]
             offdiag[gap] = 0.0
-            evals, evecs = scipy.linalg.eigh_tridiagonal(
+            evals, evecs = linalg.eigh_tridiagonal(
                 np.zeros(dim), np.array(offdiag)
             )
             for row in range(dim):
@@ -457,9 +459,10 @@ def test_hermite_state_density_values():
 
 
 def test_hermite_state_density_matches_scipy():
+    special = pytest.importorskip("scipy.special")
     xs = (-2.1, -0.4, 0.0, 0.9, 3.3)
     for n in (1, 2, 3, 6):
-        poly = scipy.special.hermite(n)
+        poly = special.hermite(n)
         norm = 2.0**n * math.gamma(n + 1) * math.sqrt(math.pi)
         for x, value in zip(xs, hermite_density_grid(n, xs)):
             expected = poly(x) ** 2 * math.exp(-x * x) / norm
@@ -468,6 +471,7 @@ def test_hermite_state_density_matches_scipy():
 
 def test_hermite_state_density_normalization_and_variance():
     # total mass 1 and second moment N + 1/2, the exact operator value
+    np = pytest.importorskip("numpy")
     for n in (0, 1, 5, 40):
         xs = np.linspace(-14.0, 14.0, 200_001)
         dens = np.array(hermite_density_grid(n, xs.tolist()))
@@ -674,6 +678,7 @@ def test_density_spectrum_sup_matches_list_reference():
 
 
 def test_state_cdf_matches_quadrature():
+    integrate = pytest.importorskip("scipy.integrate")
     # F_N(x) against the integral of phi_N^2 from -40, where the density
     # is 0.0, summed over half-unit steps up to x
     xs = [-20.0 + 0.5 * i for i in range(83)]
@@ -684,7 +689,7 @@ def test_state_cdf_matches_quadrature():
         parts = []
         expected = []
         for a, b in zip([-40.0] + xs, xs):
-            value, _ = scipy.integrate.quad(
+            value, _ = integrate.quad(
                 density, a, b, epsabs=1e-14, epsrel=1e-12, limit=200
             )
             parts.append(value)
