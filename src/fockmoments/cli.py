@@ -84,6 +84,8 @@ def parse_jacobi(text: str) -> JacobiSequence:
             return JacobiSequence.from_json(json.loads(t))
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"--jacobi: {exc}") from exc
+    except CapExceeded as exc:
+        raise CapExceeded(f"--jacobi: {exc}") from exc
     raise ValueError(
         "--jacobi must be 'standard', 'q=<rational>', 'explicit:<list>' "
         f"or a JSON object, got {text!r}"

@@ -13,9 +13,17 @@ serialize as ``"p/q"`` strings.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence, Union
+
+# Largest decimal exponent a rational string may write: Fraction expands it
+# into an integer of that many digits, which takes 0.3 s at 10^6
+_EXPONENT_CAP = 10**6
+# a decimal of the form Fraction reads, its exponent's digits grouped
+_EXPONENT = (r"(?i)\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+             r"e[-+]?(\d+(?:_\d+)*)\s*")
 
 
 class CapExceeded(RuntimeError):
@@ -34,15 +42,19 @@ class EigensolverFailure(RuntimeError):
 def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an exact rational input to a Fraction.
 
-    Accepts ints, Fractions, and ``"p/q"`` / ``"p"`` strings.  Floats are
-    rejected: their binary expansions would silently contaminate exact
-    results.
+    Accepts ints, Fractions, and ``"p/q"`` / ``"p"`` / decimal strings, but
+    a decimal exponent above 10^6 raises CapExceeded.  Floats are rejected:
+    their binary expansions would silently contaminate exact results.
     """
     if isinstance(value, bool):
         raise ValueError("expected a rational number, got a bool")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = re.fullmatch(_EXPONENT, value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > 7 or int(digits or 0) > _EXPONENT_CAP:  # 10^6 has 7 digits
+            raise CapExceeded(f"decimal exponent exceeds the cap {_EXPONENT_CAP}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -85,11 +97,11 @@ def _shown(value: Fraction) -> str:
 
 
 def _as_rational(value: Union[int, str, Fraction], name: str) -> Fraction:
-    """``as_fraction(value)``, its ValueError prefixed with ``name``."""
+    """``as_fraction(value)``, its error prefixed with ``name``."""
     try:
         return as_fraction(value)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    except (ValueError, CapExceeded) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def _as_positive(value: Union[int, str, Fraction], name: str) -> Fraction:

@@ -81,9 +81,9 @@ def _free_zero(
     hi: int,
     zr: list[float],
     right: bool,
-) -> int:
+) -> None:
     """Rotate the first zero diagonal entry of the bidiagonal block lo..hi
-    free (Golub & Van Loan, Sec. 8.6.2), and return its index.
+    free (Golub & Van Loan, Sec. 8.6.2).
 
     A zero above the last place frees its row by rotations from the
     left; a zero only in the last place frees its column by rotations
@@ -107,7 +107,7 @@ def _free_zero(
             if j < hi:
                 f = -s * e[j]
                 e[j] *= c
-        return i
+        return
     f = e[hi - 1]
     e[hi - 1] = 0.0
     for j in range(hi - 1, lo - 1, -1):
@@ -122,7 +122,6 @@ def _free_zero(
         if j > lo:
             f = -s * e[j - 1]
             e[j - 1] *= c
-    return i
 
 
 def _golub_kahan(
@@ -155,21 +154,11 @@ def _golub_kahan(
     the blocks are those of a full scan before every sweep.  The tracked
     row zr starts as a unit vector, and a chase step turns its entries
     k - 1, k (a row of U, the left rotation) or k, k + 1 (a column of B,
-    the right one), k increasing.  The steps whose pair lies below an
-    index top leave zr alone, and the rest run in one loop for either
-    side.  Each entry k <= m of zr below top is 0 or marked, d[k] = e[k]
-    = 0, so every bit is kept: two zeros turn into +-0.0 and weights are
-    squares (a NaN rotation leaves d[m] NaN, which never deflates), and a
-    marked level lies in no block but as its last, where its zero is
-    freed before any chase, as a zero e[k] splits every scan and
-    rotations write only their block's d and e.  Each case keeps that: a
-    sweep raises top past exact zeros, which underflow leaves, and one
-    through top lowers it by one.  A free turns zr from the tracked side
-    only: from the right on l..m, so top drops to l; from the left, the
-    zero's entry i with each above it in turn, so pairs below top stay
-    zeros, and i, once turned with an entry from top up, is marked.  At a
-    marked level the left rotation has cosine 0 and swaps its entry with
-    entry i, 0 then if the level is below top, and i takes the mark.
+    the right one), k increasing.  Before each chase a scan finds top, the
+    first nonzero entry of zr from l.  A step whose pair lies below top
+    would turn two exact zeros into +-0.0, and weights are squares, so it
+    leaves zr alone with every bit kept (a NaN rotation leaves d[m] NaN,
+    which never deflates); the rest run in one loop for either side.
     Returns the eigenvalues and squared entries, unsorted.
     """
     dim = len(offdiag) + 1
@@ -184,8 +173,7 @@ def _golub_kahan(
     pos = len(c) - row
     right = pos % 2 == 0
     zr = [0.0] * n
-    top = pos // 2
-    zr[top] = 1.0
+    zr[pos // 2] = 1.0
     hypot = math.hypot
 
     m = n - 1
@@ -228,11 +216,11 @@ def _golub_kahan(
                 if abs(d[i]) + nb == nb:
                     d[i] = 0.0
         if 0.0 in d[l:m + 1]:
-            if _free_zero(d, e, l, m, zr, right) == m and right:
-                top = min(top, l)
+            _free_zero(d, e, l, m, zr, right)
             split = -1
             continue
-        # past the entries that underflowed to 0
+        # the first nonzero entry of zr in the block
+        top = l
         while top < m and not zr[top]:
             top += 1
         # Wilkinson shift sigma^2: the eigenvalue of the trailing 2x2 block
@@ -277,8 +265,7 @@ def _golub_kahan(
             zr[l], z = cs * z + sn * b, cs * b - sn * z
         # once d[k - 1] is written, it, prev = d[k - 2] and off = e[k - 2]
         # are final and nonnegative: test the split at k - 1 there; off
-        # starts as a NaN, which fails the test at l.  A step before `live`
-        # would turn two zero entries of zr, so it leaves zr alone
+        # starts as a NaN, which fails the test at l
         split, prev, off = 0, 0.0, math.nan
         live = max(l + 1, min(top - right, m))
         for k in range(l + 1, live):
@@ -359,8 +346,6 @@ def _golub_kahan(
         zr[m] = z
         d[m] = cs * dk1 - sn * ek
         e[m - 1] = cs * ek + sn * dk1
-        if l < top <= m:
-            top -= 1
 
     values: list[float] = []
     squared: list[float] = []

@@ -103,6 +103,31 @@ REJECTED_HUGE_CASES = [
       "2"], "q must lie in [0, 1]"),
 ]
 
+# decimal exponents above 10^6, refused before Fraction expands them, each
+# with its error line; at 10^7 the expansion alone took about 9 s
+_CAP_LINE = "decimal exponent exceeds the cap 1000000"
+HUGE_EXPONENT_CASES = [
+    (["moments", "--N", "2", "--orders", "2", "--scale", "1e10000000"],
+     f"--scale: {_CAP_LINE}"),
+    # order 0 printed `0 1` whatever the scale
+    (["moments", "--N", "2", "--orders", "0", "--scale", "1e2000000"],
+     f"--scale: {_CAP_LINE}"),
+    (["converge", "--N", "1,2", "--orders", "2", "--scale", "1e-0_001_000_001"],
+     f"--scale: {_CAP_LINE}"),
+    (["reconstruct", "--N", "2", "--K", "10", "--scale", "1E2000000"],
+     f"--scale: {_CAP_LINE}"),
+    (["classical", "--A2", "1e-2000000", "--orders", "0"], f"--A2: {_CAP_LINE}"),
+    (["moments", "--jacobi", "q=1e-1_000_001", "--N", "1", "--orders", "2"],
+     f"--jacobi: q: {_CAP_LINE}"),
+    (["moments", "--jacobi", "explicit:1,2e+0001000001", "--N", "1", "--orders", "2"],
+     f"--jacobi: omega_2: {_CAP_LINE}"),
+    (["moments", "--jacobi", '{"kind":"q","q":"1e-2000000"}', "--N", "1", "--orders",
+      "2"], f"--jacobi: q: {_CAP_LINE}"),
+    # an exponent past the interpreter's int() digit limit
+    (["moments", "--N", "2", "--orders", "2", "--scale", "1e" + "9" * 5000],
+     f"--scale: {_CAP_LINE}"),
+]
+
 # JSON --jacobi descriptions with an empty list or a field the kind does not take
 BAD_JSON_JACOBI = [
     '{"kind":"explicit","omega":[]}',
@@ -770,6 +795,16 @@ def test_rejected_huge_value_is_one_line(capsys, monkeypatch, tmp_path, args, na
     monkeypatch.chdir(tmp_path)
     err = _one_line_error(capsys, tmp_path, args, 2, name)
     assert err.endswith(", got a number of more than 4,300 digits\n")
+
+
+@pytest.mark.parametrize("args, line", HUGE_EXPONENT_CASES)
+def test_huge_decimal_exponent_is_refused_at_once(capsys, monkeypatch, tmp_path, args,
+                                                  line):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    err = _one_line_error(capsys, tmp_path, args, 3, line)
+    assert err == f"error: {line}\n"
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("args, name", DIGIT_LIMIT_CASES)

@@ -127,6 +127,32 @@ def test_nonpositive_value_error_names_a_long_number(call, name, cases):
         assert str(info.value) == name + tail, label
 
 
+# decimal exponents past 10^6, however written, are refused before Fraction
+# expands them; the last two are past the interpreter's int() digit limit
+HUGE_EXPONENTS = ["1e1000001", "-2.5E+1_000_001", " 1e-0_001_000_001 ", "1e" + "9" * 5000,
+                  "1e" + "0" * 5000 + "1000001"]
+EXPONENT_CAP_TAIL = ": decimal exponent exceeds the cap 1000000"
+
+
+@pytest.mark.parametrize("site, call, name", RATIONAL_SITES)
+def test_huge_decimal_exponent_is_refused_by_name(site, call, name):
+    for text in HUGE_EXPONENTS:
+        with pytest.raises(CapExceeded) as info:
+            call(text)
+        assert str(info.value) == name + EXPONENT_CAP_TAIL, text
+
+
+def test_decimal_exponent_cap_ignores_zeros_and_underscores():
+    # the cap itself is allowed: 10^-(10^6) has a 3,321,929-bit denominator
+    assert as_fraction("1e-1_000_000").denominator.bit_length() == 3321929
+    assert as_fraction("1e0_000_100_000") == 10**100000
+    assert as_fraction("-1.5e-0000000002") == Fraction(-3, 200)
+    assert as_fraction("7E+0_1") == 70
+    # not a decimal Fraction reads, so no exponent is read either
+    with pytest.raises(ValueError, match="not a rational"):
+        as_fraction("1x1e99999999")
+
+
 def test_as_fraction_accepts_exact_forms():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction("3/4") == Fraction(3, 4)

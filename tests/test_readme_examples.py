@@ -1,4 +1,5 @@
 import ast
+import functools
 import os
 import re
 import shlex
@@ -45,9 +46,10 @@ def test_readme_example_output(capsys, argv, shown):
     assert capsys.readouterr().out == shown
 
 
+@functools.cache
 def _other_interpreters():
     """Each python3.10 .. python3.13 on PATH that starts, other than this
-    interpreter's minor version."""
+    interpreter's minor version; looked for once."""
     found = []
     for minor in range(10, 14):
         exe = shutil.which(f"python3.{minor}")
@@ -110,6 +112,14 @@ DEEP_JSON_ARGVS = [
 ]
 
 
+# decimal exponents above 10^6, refused before Fraction expands them
+HUGE_EXPONENT_ARGVS = [
+    ["moments", "--N", "2", "--orders", "0", "--scale", "1e2000000"],
+    ["moments", "--jacobi", "explicit:1,2e+0001000001", "--N", "1", "--orders", "2"],
+    ["moments", "--N", "2", "--orders", "2", "--scale", "1e" + "9" * 5000],
+]
+
+
 def _replay_under_other_interpreters(capsys, argvs):
     """Each argv's exit code, stdout and stderr under every other
     interpreter equal this one's."""
@@ -129,6 +139,62 @@ def test_reconstruct_under_other_interpreters(capsys):
 
 def test_deep_json_under_other_interpreters(capsys):
     _replay_under_other_interpreters(capsys, DEEP_JSON_ARGVS)
+
+
+def test_huge_exponents_under_other_interpreters(capsys):
+    _replay_under_other_interpreters(capsys, HUGE_EXPONENT_ARGVS)
+
+
+# the pure-Python test packages this interpreter lends the others, and the
+# test files that need nothing else
+BORROWED = ("pytest", "_pytest", "pluggy", "iniconfig", "packaging", "hypothesis",
+            "sortedcontainers", "attr", "attrs", "py")
+NUMPY_FREE_TESTS = ("tests/test_fock.py", "tests/test_public_names.py")
+
+
+def test_numpy_free_tests_under_other_interpreters(tmp_path):
+    # run those files under each other version, with the borrowed packages
+    # linked into one directory on its path; no bytecode is written, since
+    # the links lead into this interpreter's site-packages
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10 .. python3.13 starts")
+    import hypothesis
+    import importlib.util
+
+    modules = list(BORROWED)
+    for name in BORROWED:
+        spec = importlib.util.find_spec(name)
+        assert spec is not None, f"{name} is not installed for {sys.executable}"
+        origin = Path(spec.origin)
+        source = origin.parent if origin.name == "__init__.py" else origin
+        (tmp_path / source.name).symlink_to(source)
+    for hook in Path(hypothesis.__file__).parent.parent.glob("_hypothesis_*.py"):
+        (tmp_path / hook.name).symlink_to(hook)
+        modules.append(hook.stem)
+    # pytest loads hypothesis' plugin itself, as its entry point does here;
+    # imported before, it would count as slow plugin code
+    modules.remove("_hypothesis_pytestplugin")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    # import each borrowed module, naming any that fails, then run the tests
+    script = (
+        "import importlib, sys\n"
+        "failed = []\n"
+        "for name in sys.argv[1:]:\n"
+        "    try:\n"
+        "        importlib.import_module(name)\n"
+        "    except Exception as exc:\n"
+        "        failed.append(f'{name} ({type(exc).__name__}: {exc})')\n"
+        "if failed:\n"
+        "    sys.exit('cannot import ' + ', '.join(failed))\n"
+        "import pytest\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-p',\n"
+        f"                     '_hypothesis_pytestplugin', *{NUMPY_FREE_TESTS!r}]))\n"
+    )
+    for exe in interpreters:
+        done = subprocess.run([exe, "-c", script, *modules], capture_output=True,
+                              text=True, env=env, cwd=README.parent, timeout=300)
+        assert done.returncode == 0, (exe, done.stdout[-3000:], done.stderr[-3000:])
 
 
 def _library_block():
