@@ -85,43 +85,31 @@ def _free_zero(
     """Rotate the first zero diagonal entry of the bidiagonal block lo..hi
     free (Golub & Van Loan, Sec. 8.6.2).
 
-    A zero above the last place frees its row by rotations from the
-    left; a zero only in the last place frees its column by rotations
-    from the right.  Either way an off-diagonal entry of the block
-    becomes exactly 0, so the block splits, and the zero stays where it
-    was.
+    One loop serves both directions.  A zero above the last place frees
+    its row: rotations from the left chase e[j] rightwards up to hi.  A
+    zero only in the last place frees its column: rotations from the
+    right chase e[j - 1] leftwards down to lo.  The tracked row turns
+    with the rotations of its own side.  Either way an off-diagonal
+    entry of the block becomes exactly 0, so the block splits, and the
+    zero stays where it was.
     """
     i = d.index(0.0, lo, hi + 1)
-    if i < hi:
-        f = e[i]
-        e[i] = 0.0
-        for j in range(i + 1, hi + 1):
-            if f == 0.0:
-                break
-            r = math.hypot(d[j], f)
-            c = d[j] / r
-            s = f / r
-            d[j] = r
-            if not right:
-                zr[j], zr[i] = c * zr[j] + s * zr[i], c * zr[i] - s * zr[j]
-            if j < hi:
-                f = -s * e[j]
-                e[j] *= c
-        return
-    f = e[hi - 1]
-    e[hi - 1] = 0.0
-    for j in range(hi - 1, lo - 1, -1):
+    back = i == hi
+    step, end = (-1, lo) if back else (1, hi)
+    f = e[i - back]
+    e[i - back] = 0.0
+    for j in range(i + step, end + step, step):
         if f == 0.0:
             break
         r = math.hypot(d[j], f)
         c = d[j] / r
         s = f / r
         d[j] = r
-        if right:
-            zr[j], zr[hi] = c * zr[j] + s * zr[hi], c * zr[hi] - s * zr[j]
-        if j > lo:
-            f = -s * e[j - 1]
-            e[j - 1] *= c
+        if right == back:
+            zr[j], zr[i] = c * zr[j] + s * zr[i], c * zr[i] - s * zr[j]
+        if j != end:
+            f = -s * e[j - back]
+            e[j - back] *= c
 
 
 def _golub_kahan(
@@ -537,11 +525,13 @@ def _hermite_levels(
 
 
 def hermite_density_grid(state: int, xs: Sequence[float]) -> list[float]:
-    """Position density phi_N(x)^2 of the N-th standard state at xs."""
+    """Position density phi_N(x)^2 of the N-th standard state at xs, and
+    its limit 0.0 at +-inf, where the recurrence would form inf * 0.0."""
     n = _index(state, "density level", cap=EIGEN_DIM_CAP)
     for phi, _, e in _hermite_levels(n, xs):
         pass
-    return [math.ldexp(p * p, 2 * k) for p, k in zip(phi, e)]
+    return [0.0 if math.isinf(x) else math.ldexp(p * p, 2 * k)
+            for x, p, k in zip(xs, phi, e)]
 
 
 def _state_cdf(n: int, xs: Sequence[float]) -> list[float]:

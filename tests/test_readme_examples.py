@@ -149,7 +149,8 @@ def test_huge_exponents_under_other_interpreters(capsys):
 # test files that need nothing else
 BORROWED = ("pytest", "_pytest", "pluggy", "iniconfig", "packaging", "hypothesis",
             "sortedcontainers", "attr", "attrs", "py")
-NUMPY_FREE_TESTS = ("tests/test_fock.py", "tests/test_public_names.py")
+NUMPY_FREE_TESTS = ("tests/test_fock.py", "tests/test_public_names.py",
+                    "tests/test_cli.py")
 
 
 def test_numpy_free_tests_under_other_interpreters(tmp_path):

@@ -497,11 +497,17 @@ def test_solver_against_exact_arithmetic():
     # every gap between consecutive computed eigenvalues holds the right
     # count, so each eigenvalue is the only one between its neighbours'
     # midpoints
-    for seq in (STANDARD, Q_HALF):
-        values, _ = eigendecompose(truncated_position_matrix(seq, 200), 0)
-        above = _sturm_counter(seq, 200)
-        cuts = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(values, values[1:])]
-        assert [above(x) for x in cuts] == list(range(199, 0, -1)), seq
+    def certify(seq, dim, gaps):
+        values, _ = eigendecompose(truncated_position_matrix(seq, dim), 0)
+        above = _sturm_counter(seq, dim)
+        for g in gaps:
+            cut = (Fraction(values[g]) + Fraction(values[g + 1])) / 2
+            assert above(cut) == dim - 1 - g, (seq, dim, g)
+
+    for seq in (STANDARD, Q_HALF, EXPLICIT):
+        certify(seq, 200, range(199))
+    # the benchmark's largest solve: both extreme gaps and 16 between
+    certify(STANDARD, 1536, [0, *(1534 * j // 17 for j in range(1, 17)), 1534])
     # the atoms, read as exact dyadics, reproduce the exact moments (the
     # Gauss rule of the truncation, Golub & Welsch 1969).  The worst gap
     # measured is 1.0e-13, at q = 1/2, K = 201, row 100; the bound is ten
@@ -659,6 +665,11 @@ def test_hermite_density_keeps_its_mass_past_the_float_range_of_phi_0():
 def test_hermite_density_is_zero_far_out():
     # a level grows there by more than 2^300 in one step
     assert hermite_density_grid(50, [1e200, 1e150, -1e100, 1e30]) == [0.0] * 4
+    # and 0.0 at +-inf, the limit, at every level
+    for n in (0, 1, 5):
+        assert hermite_density_grid(n, [-math.inf, 0.5, math.inf]) == [
+            0.0, _pointwise_density(n, 0.5), 0.0
+        ]
     assert _state_cdf(50, [1e150, -1e100]) == [1.0, 0.0]
 
 
