@@ -148,16 +148,16 @@ def moments_by_walk(
     below; both have the same diagonal powers.  (B^j)[N][N] sums, over
     the level walks of length j from N back to N, the product of
     omega_k / 2 over the up steps k - 1 -> k (Flajolet, Discrete Math.
-    32, 1980).  The pass runs to the largest even order asked for, M.  A
-    walk of length <= M stays within M/2 of N, so only omega up to
-    N + M/2 is read, and after step j only the levels within M - j of N
-    are kept.  The up weights are integers W_k = d omega_k / 2, d their
-    common denominator, so (B^j)[N][N] is the integer at level N over
-    d^(j/2); a Fraction is built only at the orders asked for.  An odd
-    order up to M is read from the pass, where it comes out 0 by computed
-    cancellation, so callers can verify it; an odd order above M is 0
-    without lengthening the pass, and an even order above 100,000 raises
-    CapExceeded before it.  orders may be any iterable; it is read once.
+    32, 1980).  Each step moves the level by one, so no walk of odd
+    length returns: every odd order is 0 without the pass, as in
+    moment_by_words.  The pass runs to the largest even order asked for,
+    M, and an M above 100,000 raises CapExceeded before it.  A walk of
+    length <= M stays within M/2 of N, so only omega up to N + M/2 is
+    read, and step j computes only the levels within M - j of N whose
+    distance from N has j's parity.  The up weights are integers
+    W_k = d omega_k / 2, d their common denominator, so (B^j)[N][N] is
+    the integer at level N over d^(j/2); a Fraction is built only at the
+    orders asked for.  orders may be any iterable; it is read once.
     """
     s = _as_positive(scale, "scale")
     orders = [_index(k, "moment order") for k in orders]
@@ -177,14 +177,14 @@ def moments_by_walk(
     returns = [1]
     for j in range(1, top + 1):
         reach = min(j, top - j)
-        a, b = max(0, at - reach), min(width - 1, at + reach)
-        steps = zip(up[a : b + 1], vec[a : b + 1], vec[a + 2 : b + 3])
-        band = [w * below + above for w, below, above in steps]
-        vec = [0] * (a + 1) + band + [0] * (width - b)
+        a, b = max(at - reach, (at + j) % 2), at + reach
+        steps = zip(up[a : b + 1 : 2], vec[a : b + 1 : 2], vec[a + 2 : b + 3 : 2])
+        vec = [0] * (width + 2)
+        vec[a + 1 : b + 2 : 2] = [w * below + above for w, below, above in steps]
         returns.append(vec[1 + at])
     return [
         Fraction(returns[k] * s.denominator ** (k // 2), (d * s.numerator) ** (k // 2))
-        if k <= top
+        if k % 2 == 0
         else Fraction(0)
         for k in orders
     ]

@@ -106,16 +106,16 @@ def _suite_envelope(fast: bool) -> Iterator[str | None]:
 
 
 def _suite_odd(fast: bool) -> Iterator[str | None]:
-    """Odd diagonal walk powers and odd word sums vanish exactly.
+    """Odd walk moments and odd word sums vanish exactly.
 
-    The walk runs one even order past the odd ones, so they are computed,
-    not short-circuited; the word sums take every word of each odd length.
+    The walk reads every odd order as 0, pass or no pass, so its half checks
+    that rule; the word sums take every word of each odd length.
     """
     max_n = 4 if fast else 8
     max_order = 5 if fast else 9
     for label, seq in _sequences():
         for n in range(max_n + 1):
-            walk = moments_by_walk(seq, n, range(max_order + 2))
+            walk = moments_by_walk(seq, n, range(max_order + 1))
             for order in range(1, max_order + 1, 2):
                 yield None if walk[order] == 0 else (
                     f"{label}, N={n}, order={order}: walk power {walk[order]}"

@@ -117,8 +117,8 @@ def test_criterion_04_odd_moments_vanish():
         for _, seq in SEQUENCES:
             for n in range(0, 21):
                 assert moments_by_walk(seq, n, odd) == [0] * len(odd)
-                # asked beside order 12, the odd orders come from the walk
-                # pass, where they vanish by cancellation
+                # asked beside order 12, which runs the walk pass, the odd
+                # orders are still 0 by the parity rule
                 assert moments_by_walk(seq, n, (*odd, 12))[:-1] == [0] * len(odd)
                 for order in odd:
                     assert moment_by_words(seq, n, order) == 0

@@ -197,8 +197,9 @@ def test_tridiagonal_against_float_matrix_power():
         assert abs(power[n, n] - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
-def test_walk_odd_orders_vanish_by_cancellation():
-    # asked beside the next even order, an odd order is read from the pass
+def test_walk_odd_orders_vanish_beside_even_ones():
+    # asked beside the next even order, which runs the pass, an odd order
+    # is still 0
     for seq in (STANDARD, Q_HALF):
         for n in range(0, 6):
             assert moments_by_walk(seq, n, [0]) == [1]

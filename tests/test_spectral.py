@@ -509,19 +509,26 @@ def test_solver_against_exact_arithmetic():
     # the benchmark's largest solve: both extreme gaps and 16 between
     certify(STANDARD, 1536, [0, *(1534 * j // 17 for j in range(1, 17)), 1534])
     # the atoms, read as exact dyadics, reproduce the exact moments (the
-    # Gauss rule of the truncation, Golub & Welsch 1969).  The worst gap
-    # measured is 1.0e-13, at q = 1/2, K = 201, row 100; the bound is ten
-    # times that.  Odd sums are 0 by the +-x pairs, which other tests pin.
-    for seq in (STANDARD, Q_HALF, EXPLICIT):
-        for dim, rows in ((200, (0, 37, 99)), (201, (3, 100))):
-            tri = truncated_position_matrix(seq, dim)
-            for row in rows:
-                values, squared = eigendecompose(tri, row)
-                orders = range(0, min(lossless_order(row, dim), 64) + 1, 2)
-                exact = moments_by_walk(seq, row, orders)
-                sums = _even_gauss_moments(values, squared, len(orders))
-                for k, got, want in zip(orders, sums, exact):
-                    assert abs(got - want) <= want / 10**12, (seq, dim, row, k)
+    # Gauss rule of the truncation, Golub & Welsch 1969), at K = 200 and
+    # 201 and at the served K = 1536: row 119, the benchmark's spectral
+    # workload's K = 1536 row at seed 1, and row 300, the largest it draws.
+    # The worst gaps measured are 1.0e-13 at q = 1/2, K = 201, row 100,
+    # and 3.8e-14 and 1.3e-13 at K = 1536, rows 119 and 300; the bound is
+    # 1e-12.  Odd sums are 0 by the +-x pairs, which other tests pin.
+    cases = [
+        (seq, dim, rows)
+        for seq in (STANDARD, Q_HALF, EXPLICIT)
+        for dim, rows in ((200, (0, 37, 99)), (201, (3, 100)))
+    ]
+    for seq, dim, rows in [*cases, (STANDARD, 1536, (119, 300))]:
+        tri = truncated_position_matrix(seq, dim)
+        for row in rows:
+            values, squared = eigendecompose(tri, row)
+            orders = range(0, min(lossless_order(row, dim), 64) + 1, 2)
+            exact = moments_by_walk(seq, row, orders)
+            sums = _even_gauss_moments(values, squared, len(orders))
+            for k, got, want in zip(orders, sums, exact):
+                assert abs(got - want) <= want / 10**12, (seq, dim, row, k)
 
 
 def test_hermite_state_density_values():
@@ -660,6 +667,25 @@ def test_hermite_density_keeps_its_mass_past_the_float_range_of_phi_0():
     values = hermite_density_grid(1000, xs)
     mass = 0.02 * (math.fsum(values) - 0.5 * (values[0] + values[-1]))
     assert abs(mass - 1.0) <= 1e-10
+
+
+def test_hermite_density_moments_match_the_exact_walk():
+    # the trapezoid rule on a smooth, fast-decaying integrand is exact to
+    # rounding once h is below the density's oscillation (Trefethen &
+    # Weideman 2014), so its even moments to order 40 match the exact ones
+    # at N = 56, the benchmark's --density row, and at N = 1000.  The
+    # worst gaps measured are 2.8e-15 (907 points) and 8.7e-14 (4,619
+    # points); each bound is ten times that, rounded up.
+    for n, bound in ((56, 3e-14), (1000, 1e-12)):
+        root = math.sqrt(2 * n + 1)
+        h = min(0.05, 0.7 * math.pi / (2 * root))
+        m = math.ceil((root + 12) / h)
+        xs = [i * h for i in range(-m, m + 1)]
+        values = hermite_density_grid(n, xs)
+        orders = range(0, 41, 2)
+        for k, want in zip(orders, moments_by_walk(STANDARD, n, orders)):
+            got = h * math.fsum(v * x**k for v, x in zip(values, xs))
+            assert abs(got - want) <= bound * want, (n, k)
 
 
 def test_hermite_density_is_zero_far_out():
