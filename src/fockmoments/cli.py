@@ -12,18 +12,19 @@ Each subparser names its command function with ``set_defaults(run=...)``;
 the function parses and checks its own arguments before any work.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration,
-validation error or an ``--out`` or ``--plot`` path that cannot be
-written, 3 computational cap exceeded, a ``reconstruct`` truncation below
-K = N + 2, or eigensolver failure.  A ``--plot`` SVG is built and checked
-before any output, so a plot that cannot be drawn fails with nothing
-written; the file is written last, so when writing it fails the table has
-already been written.  Output is a pure function of the arguments; reruns
-are byte-identical.
+validation error, an ``--out`` or ``--plot`` path that cannot be
+written or a closed stdout, 3 computational cap exceeded, a
+``reconstruct`` truncation below K = N + 2, or eigensolver failure.  A
+``--plot`` SVG is built and checked before any output, so a plot that
+cannot be drawn fails with nothing written; the file is written last, so
+when writing it fails the table has already been written.  Output is a
+pure function of the arguments; reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -186,6 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(ns: argparse.Namespace, text: str) -> None:
     if ns.out:
         Path(ns.out).write_text(text, encoding="utf-8")
+    elif sys.stdout is None:
+        # Python sets sys.stdout to None when the process starts with fd 1 closed
+        raise OSError("stdout is closed")
     else:
         sys.stdout.write(text)
 
@@ -447,4 +451,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # the full collections of interpreter finalization, about 5 ms of a
+    # short call, skip frozen objects; atexit handlers and stream flushes
+    # still run.  main() does not freeze: tests and callers run it in process
+    gc.freeze()
+    sys.exit(code)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -825,6 +826,18 @@ def test_unwritable_output_is_one_line(capsys, monkeypatch, tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_closed_stdout_is_one_line(capsys, monkeypatch, tmp_path):
+    table = run_cli(capsys, ["moments", "--N", "2"])[1]
+    # Python sets sys.stdout to None when a process starts with fd 1 closed
+    monkeypatch.setattr(sys, "stdout", None)
+    for args in (["moments", "--N", "2"], ["converge", "--N", "1,10"],
+                 ["reconstruct", "--N", "2"], ["classical"]):
+        assert run_cli(capsys, args) == (2, "", "error: stdout is closed\n")
+    out = tmp_path / "m.txt"
+    assert run_cli(capsys, ["moments", "--N", "2", "--out", str(out)]) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == table
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -1226,6 +1239,41 @@ def test_module_entry_subprocess_deterministic():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.decode().startswith("N,order,")
+
+
+# runs the package as `python -m fockmoments` does, after registering an
+# atexit hook that reports on the last stderr line whether objects were
+# frozen
+_RUN_AS_MODULE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("fockmoments", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["moments", "--N", "2", "--orders", "2,4"], 0),
+        (["moments", "--N", "2", "--bogus"], 2),
+        (["moments", "--N", "-1"], 2),
+        (["moments", "--N", "0", "--orders", "3000"], 3),
+        (["--version"], 0),
+        (["--help"], 0),
+    ],
+)
+def test_module_entry_matches_main_and_freezes_at_exit(capsys, args, code):
+    frozen = gc.get_freeze_count()
+    expected = run_cli(capsys, args)
+    assert expected[0] == code
+    assert gc.get_freeze_count() == frozen  # main() itself never freezes
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MODULE, *args],
+        capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=120,
+    )
+    # the hook ran after console_main returned, and saw the freeze
+    assert proc.stderr.endswith("True\n")
+    assert (proc.returncode, proc.stdout, proc.stderr[:-len("True\n")]) == expected
 
 
 # runs cli.main on argv, then reports on the last stderr line the exit
