@@ -13,12 +13,13 @@ the function parses and checks its own arguments before any work.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration,
 validation error, an ``--out`` or ``--plot`` path that cannot be
-written or a closed stdout, 3 computational cap exceeded, a
-``reconstruct`` truncation below K = N + 2, or eigensolver failure.  A
-``--plot`` SVG is built and checked before any output, so a plot that
-cannot be drawn fails with nothing written; the file is written last, so
-when writing it fails the table has already been written.  Output is a
-pure function of the arguments; reruns are byte-identical.
+written or a closed stdout (every byte goes through ``_write``), 3
+computational cap exceeded, a ``reconstruct`` truncation below
+K = N + 2, or eigensolver failure.  A ``--plot`` SVG is built and
+checked before any output, so a plot that cannot be drawn fails with
+nothing written; the file is written last, so when writing it fails the
+table has already been written.  Output is a pure function of the
+arguments; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import gc
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
@@ -184,9 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(ns: argparse.Namespace, text: str) -> None:
-    if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
+def _write(text: str, path: str | None = None) -> None:
+    """Write text to the file at path, or to stdout when path is empty."""
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     elif sys.stdout is None:
         # Python sets sys.stdout to None when the process starts with fd 1 closed
         raise OSError("stdout is closed")
@@ -200,7 +202,7 @@ def _json_dumps(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit_table(
+def _write_table(
     ns: argparse.Namespace,
     meta: dict | None,
     columns: Sequence[str],
@@ -223,7 +225,7 @@ def _emit_table(
     else:
         text_row = text_row or (lambda row: " ".join(map(str, row)))
         text = "".join(text_row(row) + "\n" for row in rows)
-    _emit(ns, text)
+    _write(text, ns.out)
 
 
 def cmd_moments(ns: argparse.Namespace) -> int:
@@ -256,7 +258,7 @@ def cmd_moments(ns: argparse.Namespace) -> int:
         (order, _exact_str(v, f"order {order} moment"))
         for order, v in zip(orders, moments)
     ]
-    _emit_table(ns, meta, ("order", "value"), rows)
+    _write_table(ns, meta, ("order", "value"), rows)
     return 0
 
 
@@ -288,9 +290,9 @@ def cmd_converge(ns: argparse.Namespace) -> int:
             None if v is None else _exact_str(v, name + at)
             for name, v in zip(names, values)
         )))
-    _emit_table(ns, meta, ("N", "order", *names), cells)
+    _write_table(ns, meta, ("N", "order", *names), cells)
     if svg:
-        Path(ns.plot).write_text(svg, encoding="utf-8")
+        _write(svg, ns.plot)
     elif ns.plot:
         print(
             "note: no nonzero difference at N >= 1, no plot written",
@@ -363,18 +365,18 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
         }
         if density_pts is not None:
             payload["density_grid"] = [[x, f] for x, f in density_pts]
-        _emit(ns, _json_dumps(payload))
+        _write(_json_dumps(payload), ns.out)
     elif ns.format == "csv":
-        _emit_table(ns, None, ("location", "weight"), measure.atoms)
+        _write_table(ns, None, ("location", "weight"), measure.atoms)
         if density_pts is not None:
             dtext = "x,density\n" + "".join(
                 f"{x!r},{f!r}\n" for x, f in density_pts
             )
             if ns.out:
-                Path(ns.out + ".density.csv").write_text(dtext, encoding="utf-8")
+                _write(dtext, ns.out + ".density.csv")
             else:
-                sys.stdout.write("\n" + dtext)
-        print(f"ks_to_arcsine = {ks!r}")
+                _write("\n" + dtext)
+        _write(f"ks_to_arcsine = {ks!r}\n")  # stdout even under --out
     else:
         lines = [
             f"# N = {state}, K = {dim}, scale = {_exact_str(scale, '--scale')}",
@@ -385,10 +387,10 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
             lines.append("# x density")
             lines.extend(f"{x!r} {f!r}" for x, f in density_pts)
         lines.append(f"ks_to_arcsine = {ks!r}")
-        _emit(ns, "\n".join(lines) + "\n")
+        _write("\n".join(lines) + "\n", ns.out)
 
     if svg:
-        Path(ns.plot).write_text(svg, encoding="utf-8")
+        _write(svg, ns.plot)
     return 0
 
 
@@ -415,7 +417,7 @@ def cmd_classical(ns: argparse.Namespace) -> int:
     if ns.format == "json":
         meta = {"A2": _exact_str(a2, "--A2"), "panels": panels}
     columns = ("order", "exact", "quadrature", "abs_diff")
-    _emit_table(ns, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
+    _write_table(ns, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
     return 0
 
 
@@ -423,15 +425,13 @@ def cmd_selfcheck(ns: argparse.Namespace) -> int:
     from .selfcheck import run_selfcheck
 
     results = run_selfcheck(fast=ns.fast)
-    failed = 0
-    for result in results:
-        if result.passed:
-            print(f"ok {result.name} ({result.checks} checks)")
-        else:
-            failed += 1
-            print(f"FAIL {result.name}: {result.counterexample}")
-    print(f"{len(results) - failed}/{len(results)} suites passed")
-    return 0 if failed == 0 else 1
+    passed = sum(r.passed for r in results)
+    _write("".join(
+        f"ok {r.name} ({r.checks} checks)\n" if r.passed
+        else f"FAIL {r.name}: {r.counterexample}\n"
+        for r in results
+    ) + f"{passed}/{len(results)} suites passed\n")
+    return 0 if passed == len(results) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

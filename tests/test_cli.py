@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockmoments
-from fockmoments.cli import main, parse_jacobi
+from fockmoments.cli import build_parser, main, parse_jacobi
 from fockmoments.fock import JacobiSequence
 
 
@@ -826,16 +826,38 @@ def test_unwritable_output_is_one_line(capsys, monkeypatch, tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+# small arguments for each command; a command not listed runs on its defaults
+CLOSED_STDOUT_ARGS = {
+    "moments": ["--N", "2"],
+    "converge": ["--N", "1,10"],
+    "reconstruct": ["--N", "2"],
+    "selfcheck": ["--fast"],
+}
+
+
 def test_closed_stdout_is_one_line(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     table = run_cli(capsys, ["moments", "--N", "2"])[1]
+    # --out files, a density sibling, the KS line on stdout, then the plot
+    csv_out = ["reconstruct", "--N", "2", "--density", "--format", "csv",
+               "--out", "r.csv", "--plot", "p.svg"]
+    assert run_cli(capsys, csv_out)[0] == 0
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(written) == ["p.svg", "r.csv", "r.csv.density.csv"]
+    for p in tmp_path.iterdir():
+        p.unlink()
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
     # Python sets sys.stdout to None when a process starts with fd 1 closed
     monkeypatch.setattr(sys, "stdout", None)
-    for args in (["moments", "--N", "2"], ["converge", "--N", "1,10"],
-                 ["reconstruct", "--N", "2"], ["classical"]):
+    for command in commands:
+        args = [command, *CLOSED_STDOUT_ARGS.get(command, [])]
         assert run_cli(capsys, args) == (2, "", "error: stdout is closed\n")
-    out = tmp_path / "m.txt"
-    assert run_cli(capsys, ["moments", "--N", "2", "--out", str(out)]) == (0, "", "")
-    assert out.read_text(encoding="utf-8") == table
+    # the files before the KS line are written, the plot after it is not
+    assert run_cli(capsys, csv_out) == (2, "", "error: stdout is closed\n")
+    del written["p.svg"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+    assert run_cli(capsys, ["moments", "--N", "2", "--out", "m.txt"]) == (0, "", "")
+    assert (tmp_path / "m.txt").read_text(encoding="utf-8") == table
 
 
 @pytest.mark.parametrize(
@@ -1276,6 +1298,20 @@ def test_module_entry_matches_main_and_freezes_at_exit(capsys, args, code):
     assert (proc.returncode, proc.stdout, proc.stderr[:-len("True\n")]) == expected
 
 
+def test_stdout_closed_at_start_exits_2(tmp_path):
+    # the shell closes fd 1 before the interpreter starts, so the interpreter
+    # sets sys.stdout to None; the table reaches --out, the KS line cannot
+    out = tmp_path / "r.csv"
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "fockmoments",
+         "reconstruct", "--N", "2", "--format", "csv", "--out", str(out)],
+        capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: stdout is closed\n")
+    assert out.read_text(encoding="utf-8").startswith("location,weight\n")
+
+
 # runs cli.main on argv, then reports on the last stderr line the exit
 # code, the fockmoments submodules loaded, and whether json was imported
 _REPORT_IMPORTS = """
@@ -1332,6 +1368,7 @@ STARTUP_ARGVS = [
     ["reconstruct", "--N", "2", "--K", "64", "--plot", "r.svg"],
     ["classical", "--format", "json"],
     ["selfcheck", "--fast"],
+    ["reconstruct", "--N", "2", "--density", "--format", "csv", "--out", "r.csv"],
 ]
 _REPORT_STARTUP = """
 import sys
@@ -1340,15 +1377,26 @@ from fockmoments import cli
 report = []
 for argv in ARGVS:
     code = cli.main(argv)
-    report.append((code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+    report.append((code, sorted(WATCHED & (set(sys.modules) - before))))
 print(report, file=sys.stderr)
 """
 
 
-def test_no_command_imports_dataclasses_or_inspect(tmp_path):
-    script = f"ARGVS = {STARTUP_ARGVS!r}" + _REPORT_STARTUP
+def _startup_report(tmp_path, watched, *flags):
+    script = f"ARGVS = {STARTUP_ARGVS!r}; WATCHED = {watched!r}" + _REPORT_STARTUP
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         capture_output=True, text=True, cwd=tmp_path, env=SUBPROCESS_ENV, timeout=120,
     )
-    assert proc.stderr.splitlines()[-1] == repr([(0, [])] * len(STARTUP_ARGVS))
+    return proc.stderr.splitlines()[-1]
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    report = _startup_report(tmp_path, {"dataclasses", "inspect"})
+    assert report == repr([(0, [])] * len(STARTUP_ARGVS))
+
+
+def test_no_command_imports_pathlib(tmp_path):
+    # -S: without site, whose .pth files may import pathlib before the package
+    report = _startup_report(tmp_path, {"pathlib"}, "-S")
+    assert report == repr([(0, [])] * len(STARTUP_ARGVS))
