@@ -8,8 +8,10 @@ Subcommands:
 - ``classical``: exact classical-oscillator moments vs quadrature
 - ``selfcheck``: internal consistency suites
 
-Each subparser names its command function with ``set_defaults(run=...)``;
-the function parses and checks its own arguments before any work.
+A well-formed command line is read from ``_FLAGS`` without argparse, which
+reads any other and writes ``--help``, ``--version`` and every usage error.
+``run`` names the command function, which parses and checks its own
+arguments before any work.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration,
 validation error, an ``--out`` or ``--plot`` path that cannot be
@@ -24,11 +26,11 @@ arguments; reruns are byte-identical.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import __version__
@@ -43,6 +45,7 @@ from .fock import (
     _as_positive,
     _exact_str,
     _index,
+    _quoted,
     canonical_scale,
     to_float,
 )
@@ -89,7 +92,7 @@ def parse_jacobi(text: str) -> JacobiSequence:
         raise CapExceeded(f"--jacobi: {exc}") from exc
     raise ValueError(
         "--jacobi must be 'standard', 'q=<rational>', 'explicit:<list>' "
-        f"or a JSON object, got {text!r}"
+        f"or a JSON object, got {_quoted(text)}"
     )
 
 
@@ -102,7 +105,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         values = [int(t) for t in items]
     except ValueError as exc:
         raise ValueError(
-            f"{flag} must be comma-separated integers, got {text!r}"
+            f"{flag} must be comma-separated integers, got {_quoted(text)}"
         ) from exc
     return tuple(_index(v, flag) for v in values)
 
@@ -112,7 +115,7 @@ def _parse_single_int(text: str, flag: str, least: int = 0) -> int:
     try:
         value = int(text.strip())
     except ValueError as exc:
-        raise ValueError(f"{flag} must be an integer, got {text!r}") from exc
+        raise ValueError(f"{flag} must be an integer, got {_quoted(text)}") from exc
     return _index(value, flag, least)
 
 
@@ -123,7 +126,48 @@ def _parse_scale(text: str) -> Fraction | str:
     return _as_positive(text, "--scale")
 
 
+# Each command's help line and flags, declared once: build_parser makes
+# argparse's parser from them and _parse_canonical reads them.  A flag is
+# (name, default, help, choices); a default of False marks a switch.
+_FLAGS = {
+    "moments": ("exact scaled moments of one state", [
+        ("--jacobi", "standard", None, None),
+        ("--N", "0", "state level", None),
+        ("--orders", "0,1,2,3,4,5,6,7,8", None, None),
+        ("--scale", "1", "positive rational or 'canonical'", None),
+        ("--engine", "tridiagonal", None, ("tridiagonal", "words")),
+        ("--format", "text", None, ("text", "csv", "json")),
+        ("--out", None, None, None)]),
+    "converge": ("moments vs arcsine targets over N", [
+        ("--jacobi", "standard", None, None),
+        ("--N", "1,10,100,1000", None, None),
+        ("--orders", "2,4,6,8", None, None),
+        ("--scale", "canonical", None, None),
+        ("--format", "csv", None, ("csv", "json")),
+        ("--out", None, None, None),
+        ("--plot", None, "write an SVG here", None)]),
+    "reconstruct": ("spectral measure of one state", [
+        ("--jacobi", "standard", None, None),
+        ("--N", "5", None, None),
+        ("--K", None, "truncation dimension, default N + 64", None),
+        ("--scale", "1", "positive rational or 'canonical'", None),
+        ("--density", False, "emit the state density", None),
+        ("--format", "text", None, ("text", "csv", "json")),
+        ("--out", None, None, None),
+        ("--plot", None, "write an SVG here", None)]),
+    "classical": ("classical oscillator moments", [
+        ("--A2", "2", "squared amplitude, rational", None),
+        ("--orders", "0,1,2,3,4,5,6,7,8", None, None),
+        ("--panels", "256", None, None),
+        ("--format", "text", None, ("text", "csv", "json")),
+        ("--out", None, None, None)]),
+    "selfcheck": ("run internal consistency suites", [("--fast", False, None, None)]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fockmoments",
         description=(
@@ -131,57 +175,41 @@ def build_parser() -> argparse.ArgumentParser:
             "arcsine-law limit, and spectral reconstructions."
         ),
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    mo = sub.add_parser("moments", help="exact scaled moments of one state")
-    mo.add_argument("--jacobi", default="standard")
-    mo.add_argument("--N", default="0", help="state level")
-    mo.add_argument("--orders", default="0,1,2,3,4,5,6,7,8")
-    mo.add_argument("--scale", default="1", help="positive rational or 'canonical'")
-    mo.add_argument(
-        "--engine", choices=("tridiagonal", "words"), default="tridiagonal"
-    )
-    mo.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    mo.add_argument("--out", default=None)
-    mo.set_defaults(run=cmd_moments)
-
-    co = sub.add_parser("converge", help="moments vs arcsine targets over N")
-    co.add_argument("--jacobi", default="standard")
-    co.add_argument("--N", default="1,10,100,1000")
-    co.add_argument("--orders", default="2,4,6,8")
-    co.add_argument("--scale", default="canonical")
-    co.add_argument("--format", choices=("csv", "json"), default="csv")
-    co.add_argument("--out", default=None)
-    co.add_argument("--plot", default=None, help="write an SVG here")
-    co.set_defaults(run=cmd_converge)
-
-    re = sub.add_parser("reconstruct", help="spectral measure of one state")
-    re.add_argument("--jacobi", default="standard")
-    re.add_argument("--N", default="5")
-    re.add_argument("--K", default=None, help="truncation dimension, default N + 64")
-    re.add_argument("--scale", default="1", help="positive rational or 'canonical'")
-    re.add_argument("--density", action="store_true", help="emit the state density")
-    re.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    re.add_argument("--out", default=None)
-    re.add_argument("--plot", default=None, help="write an SVG here")
-    re.set_defaults(run=cmd_reconstruct)
-
-    cl = sub.add_parser("classical", help="classical oscillator moments")
-    cl.add_argument("--A2", default="2", help="squared amplitude, rational")
-    cl.add_argument("--orders", default="0,1,2,3,4,5,6,7,8")
-    cl.add_argument("--panels", default="256")
-    cl.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    cl.add_argument("--out", default=None)
-    cl.set_defaults(run=cmd_classical)
-
-    sc = sub.add_parser("selfcheck", help="run internal consistency suites")
-    sc.add_argument("--fast", action="store_true")
-    sc.set_defaults(run=cmd_selfcheck)
-
+    for command, (summary, flags) in _FLAGS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, default, text, choices in flags:
+            if default is False:
+                p.add_argument(name, action="store_true", help=text)
+            else:
+                p.add_argument(name, default=default, help=text, choices=choices)
+        p.set_defaults(run=globals()["cmd_" + command])  # per call, as tracers wrap it
     return parser
+
+
+def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argparse's namespace for ``<command> (--flag value | --switch)*``, every
+    flag named in full and every value one of its choices, not starting with
+    '-'; None for any other argv, which argparse reads or refuses itself."""
+    command = argv[0] if argv and all(isinstance(t, str) for t in argv) else None
+    if command not in _FLAGS:
+        return None
+    flags = {flag[0]: flag for flag in _FLAGS[command][1]}
+    ns = SimpleNamespace(command=command, run=globals()["cmd_" + command],
+                         **{name[2:]: flag[1] for name, flag in flags.items()})
+    tokens = iter(argv[1:])
+    for name in tokens:
+        if name not in flags:
+            return None
+        _, default, _, choices = flags[name]
+        value = default is False or next(tokens, "-")  # a missing value is "-"
+        if value is not True and (
+                value.startswith("-") or choices and value not in choices):
+            return None
+        setattr(ns, name[2:], value)  # a repeated flag keeps its last value
+    return ns
 
 
 def _write(text: str, path: str | None = None) -> None:
@@ -203,7 +231,7 @@ def _json_dumps(obj: object) -> str:
 
 
 def _write_table(
-    ns: argparse.Namespace,
+    ns: SimpleNamespace,
     meta: dict | None,
     columns: Sequence[str],
     rows: Sequence[tuple],
@@ -228,7 +256,7 @@ def _write_table(
     _write(text, ns.out)
 
 
-def cmd_moments(ns: argparse.Namespace) -> int:
+def cmd_moments(ns: SimpleNamespace) -> int:
     seq = parse_jacobi(ns.jacobi)
     state = _parse_single_int(ns.N, "--N")
     orders = _parse_int_list(ns.orders, "--orders")
@@ -262,7 +290,7 @@ def cmd_moments(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_converge(ns: argparse.Namespace) -> int:
+def cmd_converge(ns: SimpleNamespace) -> int:
     seq = parse_jacobi(ns.jacobi)
     states = _parse_int_list(ns.N, "--N")
     orders = _parse_int_list(ns.orders, "--orders")
@@ -314,7 +342,7 @@ def _density_points(
     return [(x, root * v) for x, v in zip(xs, density)]
 
 
-def cmd_reconstruct(ns: argparse.Namespace) -> int:
+def cmd_reconstruct(ns: SimpleNamespace) -> int:
     seq = parse_jacobi(ns.jacobi)
     state = _parse_single_int(ns.N, "--N")
     dim = state + 64 if ns.K is None else _parse_single_int(ns.K, "--K", least=1)
@@ -394,7 +422,7 @@ def cmd_reconstruct(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_classical(ns: argparse.Namespace) -> int:
+def cmd_classical(ns: SimpleNamespace) -> int:
     a2 = _as_positive(ns.A2, "--A2")
     orders = _parse_int_list(ns.orders, "--orders")
     panels = _parse_single_int(ns.panels, "--panels", least=16)
@@ -421,7 +449,7 @@ def cmd_classical(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selfcheck(ns: argparse.Namespace) -> int:
+def cmd_selfcheck(ns: SimpleNamespace) -> int:
     from .selfcheck import run_selfcheck
 
     results = run_selfcheck(fast=ns.fast)
@@ -435,11 +463,14 @@ def cmd_selfcheck(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        ns = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
+    ns = _parse_canonical(argv)
+    if ns is None:
+        try:
+            ns = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         return ns.run(ns)
     except (CapExceeded, EigensolverFailure, TruncationTooSmall) as exc:

@@ -39,6 +39,11 @@ class EigensolverFailure(RuntimeError):
     row lost orthonormality, or an eigenvalue is not finite."""
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)`` for an error message, or its length past 80 characters."""
+    return repr(text) if len(text) <= 80 else f"a string of {len(text):,} characters"
+
+
 def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an exact rational input to a Fraction.
 
@@ -58,7 +63,7 @@ def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational 'p/q' string: {value!r}") from exc
+            raise ValueError(f"not a rational 'p/q' string: {_quoted(value)}") from exc
     if isinstance(value, float):
         raise ValueError(
             f"floats are not exact, pass a 'p/q' string instead of {value!r}"

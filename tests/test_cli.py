@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockmoments
-from fockmoments.cli import build_parser, main, parse_jacobi
+from fockmoments.cli import _FLAGS, _parse_canonical, build_parser, main, parse_jacobi
 from fockmoments.fock import JacobiSequence
 
 
@@ -815,6 +817,33 @@ def test_digit_limit_error_is_one_line(capsys, monkeypatch, tmp_path, args, name
     assert err.endswith(" has more than 4,300 digits, too many to print\n")
 
 
+# refused arguments, each with its error line: one of up to 80 characters is
+# quoted in full, a longer one by its length
+ONES = "1" * 5000
+LONG_ARGUMENT_CASES = [
+    (["moments", "--N", "1", "--orders", "2", "--scale", "1e" + "0" * 5000 + "2"],
+     "--scale: not a rational 'p/q' string: a string of 5,003 characters"),
+    (["moments", "--N", ONES],
+     "--N must be an integer, got a string of 5,000 characters"),
+    (["moments", "--jacobi", "x" + ONES],
+     "--jacobi must be 'standard', 'q=<rational>', 'explicit:<list>' or a JSON "
+     "object, got a string of 5,001 characters"),
+    (["moments", "--orders", "1," + ONES],
+     "--orders must be comma-separated integers, got a string of 5,002 characters"),
+    (["moments", "--jacobi", "explicit:1,x" + ONES],
+     "--jacobi: omega_2: not a rational 'p/q' string: a string of 5,001 characters"),
+    (["reconstruct", "--K", "x" * 80], f"--K must be an integer, got '{'x' * 80}'"),
+    (["reconstruct", "--K", "x" * 81],
+     "--K must be an integer, got a string of 81 characters"),
+]
+
+
+@pytest.mark.parametrize("args, line", LONG_ARGUMENT_CASES)
+def test_long_argument_is_quoted_by_length(capsys, monkeypatch, tmp_path, args, line):
+    monkeypatch.chdir(tmp_path)
+    assert _one_line_error(capsys, tmp_path, args, 2, line) == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("args", UNWRITABLE_CASES)
 def test_unwritable_output_is_one_line(capsys, monkeypatch, tmp_path, args):
     monkeypatch.chdir(tmp_path)
@@ -1206,6 +1235,80 @@ def test_help_and_version_exit_0(capsys):
     assert run_cli(capsys, ["--help"])[0] == 0
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
+    assert out == f"fockmoments {fockmoments.__version__}\n"
+
+
+# size and SHA-256 of each --help text at 80 columns; argparse lays help out
+# differently from one Python version to the next, so these hold for 3.11
+HELP_PINS = {
+    (): (702, "f9b36af1bc713c82d2b3ec451fa8473bef9363eefcf75858b0e3c96bd041c1a6"),
+    ("moments",): (
+        481, "8a98b402b1896f6e25c52541b188f2878bbceb610e8fc991968fff8a92a8201c"),
+    ("converge",): (
+        397, "abe60b03d74ca81e365e45ce053a77133a0045395fcbdf3b0372f120ef2ce25b"),
+    ("reconstruct",): (
+        582, "78bcf0a95b2c6d7576c977da8b0627302de12102c0313261006c4f9ec9bee0ab"),
+    ("classical",): (
+        370, "fee129e0ecf7f09225f6074b1b816e7b9af5e71ffc0e6cc7d42085277128b9f0"),
+    ("selfcheck",): (
+        108, "f32c8916cd0a5b4d9287abccc213c371681745164416ea0e6df5c40662e513cf"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11")
+@pytest.mark.parametrize("command", HELP_PINS, ids=lambda c: " ".join(c) or "top")
+def test_help_bytes_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, [*command, "--help"])
+    data = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == HELP_PINS[command]
+
+
+# values that do not start with "-", and tokens for an edit: every command
+# and every flag, tokens that argparse reads in its own way, values in and
+# out of the choices, starting with "-", and empty
+PARSER_VALUES = ["2", "1,10", "q=1/2", "canonical", "moments", "xml", ""]
+PARSER_TOKENS = sorted(
+    {*_FLAGS, "nonsense", *(flag[0] for _, flags in _FLAGS.values() for flag in flags),
+     "--ord", "--N=5", "-h", "--help", "--version", "--", "-1", "-1/2", "-",
+     "text", "words", *PARSER_VALUES}
+)
+
+
+@st.composite
+def _parser_argvs(draw):
+    """A well-formed argv, repeated flags included, after up to two edits,
+    each inserting, replacing or deleting one token."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for name, default, _, choices in draw(
+        st.lists(st.sampled_from(_FLAGS[command][1]), max_size=4)
+    ):
+        argv.append(name)
+        if default is not False:
+            argv.append(draw(st.sampled_from(choices or PARSER_VALUES)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        token = [draw(st.sampled_from(PARSER_TOKENS))] if edit != "delete" else []
+        argv[at:at + (edit != "insert")] = token
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_parser_argvs())
+def test_canonical_parse_matches_argparse(argv):
+    # a namespace from the canonical parser is argparse's; where argparse
+    # exits (help, version or an error), the canonical parser gives None
+    ns = _parse_canonical(argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+    assert ns is None or vars(ns) == expected
 
 
 def test_parse_jacobi_forms():
@@ -1382,8 +1485,8 @@ print(report, file=sys.stderr)
 """
 
 
-def _startup_report(tmp_path, watched, *flags):
-    script = f"ARGVS = {STARTUP_ARGVS!r}; WATCHED = {watched!r}" + _REPORT_STARTUP
+def _startup_report(tmp_path, watched, *flags, argvs=STARTUP_ARGVS):
+    script = f"ARGVS = {argvs!r}; WATCHED = {watched!r}" + _REPORT_STARTUP
     proc = subprocess.run(
         [sys.executable, *flags, "-c", script],
         capture_output=True, text=True, cwd=tmp_path, env=SUBPROCESS_ENV, timeout=120,
@@ -1400,3 +1503,23 @@ def test_no_command_imports_pathlib(tmp_path):
     # -S: without site, whose .pth files may import pathlib before the package
     report = _startup_report(tmp_path, {"pathlib"}, "-S")
     assert report == repr([(0, [])] * len(STARTUP_ARGVS))
+
+
+def _readme_argvs():
+    """The argv of each command line in README's sh blocks."""
+    readme = Path(fockmoments.__file__).resolve().parents[2] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = [line.removeprefix("$ ") for block in blocks for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines if line.startswith("fockmoments ")]
+
+
+def test_well_formed_commands_do_not_load_argparse(tmp_path):
+    # --version runs last: argparse writes it, and what it loads stays loaded
+    readme = _readme_argvs()
+    assert {argv[0] for argv in readme} == set(_FLAGS)
+    argvs = [argv for argv in STARTUP_ARGVS if argv != ["--version"]] + readme
+    assert all(_parse_canonical(argv) for argv in argvs)
+    watched = {"argparse", "gettext", "locale"}
+    report = _startup_report(tmp_path, watched, argvs=[*argvs, ["--version"]])
+    assert report == repr([(0, [])] * len(argvs) + [(0, sorted(watched))])
