@@ -225,9 +225,27 @@ def _write(text: str, path: str | None = None) -> None:
 
 
 def _json_dumps(obj: object) -> str:
-    import json
+    """``json.dumps(obj, indent=2) + "\\n"`` without importing json, for the
+    CLI's documents: str-keyed dicts, lists, None, ints, finite floats
+    (DiscreteMeasure and ``classical`` check theirs) and strings that need
+    no escape, each ``_exact_str`` of a Fraction or a fixed ASCII name."""
+    return _json_value(obj, "\n") + "\n"
 
-    return json.dumps(obj, indent=2) + "\n"
+
+def _json_value(value: object, newline: str) -> str:
+    # newline ends a line and indents the next one to the value's depth
+    if isinstance(value, str):
+        return f'"{value}"'
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = (f'"{k}": {_json_value(v, inner)}' for k, v in value.items())
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if value else "{}"
+    if isinstance(value, list):
+        items = (_json_value(v, inner) for v in value)
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if value else "[]"
+    return repr(value)
 
 
 def _write_table(

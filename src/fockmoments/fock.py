@@ -39,9 +39,10 @@ class EigensolverFailure(RuntimeError):
     row lost orthonormality, or an eigenvalue is not finite."""
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)`` for an error message, or its length past 80 characters."""
-    return repr(text) if len(text) <= 80 else f"a string of {len(text):,} characters"
+def _quoted(value: object) -> str:
+    """``repr(value)`` for an error message, or a string's length past 80."""
+    long = isinstance(value, str) and len(value) > 80
+    return f"a string of {len(value):,} characters" if long else repr(value)
 
 
 def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
@@ -56,7 +57,8 @@ def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        exponent = re.fullmatch(_EXPONENT, value)
+        # _EXPONENT's (?i)e matches only "e" and "E": skip compiling it without one
+        exponent = ("e" in value or "E" in value) and re.fullmatch(_EXPONENT, value)
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         if len(digits) > 7 or int(digits or 0) > _EXPONENT_CAP:  # 10^6 has 7 digits
             raise CapExceeded(f"decimal exponent exceeds the cap {_EXPONENT_CAP}")
@@ -193,7 +195,7 @@ class JacobiSequence(_Value):
             weights = enumerate(omegas, 1)
             omegas = tuple(_as_positive(w, f"omega_{i}") for i, w in weights)
         else:
-            raise ValueError(f"unknown Jacobi sequence kind: {kind!r}")
+            raise ValueError(f"unknown Jacobi sequence kind: {_quoted(kind)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "omegas", omegas)
@@ -243,10 +245,10 @@ class JacobiSequence(_Value):
                 f"Jacobi sequence kind must be a string, got {type(kind).__name__}"
             )
         if kind not in _JSON_FIELDS:
-            raise ValueError(f"unknown Jacobi sequence kind: {kind!r}")
+            raise ValueError(f"unknown Jacobi sequence kind: {_quoted(kind)}")
         for name in obj:
             if name not in ("kind", *_JSON_FIELDS[kind]):
-                raise ValueError(f"kind {kind!r} takes no field {name!r}")
+                raise ValueError(f"kind {kind!r} takes no field {_quoted(name)}")
         if kind == "explicit":
             if not isinstance(obj.get("omega"), list):
                 raise ValueError("kind 'explicit' requires a list field 'omega'")

@@ -26,7 +26,6 @@ from .fock import (
     canonical_scale,
     state_index,
 )
-from .laws import arcsine_moment
 
 
 def word_matrix_element(seq: JacobiSequence, state: int, word: str) -> Fraction:
@@ -206,6 +205,7 @@ def moment_envelope(state: int, order: int) -> tuple[Fraction, Fraction]:
     n = _index(state, "state level for the envelope", least=1)
     if _index(order, "moment order") % 2:
         raise ValueError(f"envelope is defined for even orders, got {order}")
+    from .laws import arcsine_moment  # here, so a moments call never loads laws
     m = order // 2
     target = arcsine_moment(order)
     falling = math.prod(range(n - m + 1, n + 1))
@@ -240,6 +240,7 @@ def convergence_table(
     filled for standard-sequence even orders whenever the row's scale is
     the canonical one, and left empty otherwise.
     """
+    from .laws import arcsine_moment
     fixed: Fraction | None
     if isinstance(scale, str) and scale.strip() == "canonical":
         fixed = None

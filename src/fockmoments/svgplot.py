@@ -9,16 +9,17 @@ a plot cannot hold, so a call without ``--plot`` never loads them.
 
 from __future__ import annotations
 
-import html
 import math
-from functools import partial
 from typing import Sequence
 
 from .fock import to_float
 from .laws import arcsine_density
 
-# & < > only, as text nodes need; xml.sax.saxutils would import urllib
-escape = partial(html.escape, quote=False)
+
+def _escape(text: str) -> str:
+    """``html.escape(text, quote=False)``, & < > as text nodes need, without html."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -86,7 +87,7 @@ def line_plot(
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
 
     for tx in _ticks(x_lo, x_hi, loglog):
@@ -98,7 +99,7 @@ def line_plot(
         parts.append(
             f'<text x="{gx:.2f}" y="{_MARGIN_T + plot_h + 18:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{escape(_tick_label(tx, loglog))}</text>"
+            f"{_escape(_tick_label(tx, loglog))}</text>"
         )
     for ty in _ticks(y_lo, y_hi, loglog):
         gy = py(ty)
@@ -110,7 +111,7 @@ def line_plot(
         parts.append(
             f'<text x="{_MARGIN_L - 6:.2f}" y="{gy + 4:.2f}" '
             f'text-anchor="end" font-family="sans-serif" font-size="11">'
-            f"{escape(_tick_label(ty, loglog))}</text>"
+            f"{_escape(_tick_label(ty, loglog))}</text>"
         )
 
     cy = _MARGIN_T + plot_h / 2
@@ -119,10 +120,10 @@ def line_plot(
         f'height="{plot_h:.2f}" fill="none" stroke="#333333"/>',
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{escape(xlabel)}</text>",
+        f"{_escape(xlabel)}</text>",
         f'<text x="16" y="{cy:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {cy:.2f})">{escape(ylabel)}</text>',
+        f'transform="rotate(-90 16 {cy:.2f})">{_escape(ylabel)}</text>',
     ]
 
     for idx, (label, pts) in enumerate(series):
@@ -145,7 +146,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import string
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockmoments
-from fockmoments.cli import _FLAGS, _parse_canonical, build_parser, main, parse_jacobi
+from fockmoments.cli import (
+    _FLAGS,
+    _json_dumps,
+    _parse_canonical,
+    build_parser,
+    main,
+    parse_jacobi,
+)
 from fockmoments.fock import JacobiSequence
 
 
@@ -835,6 +843,10 @@ LONG_ARGUMENT_CASES = [
     (["reconstruct", "--K", "x" * 80], f"--K must be an integer, got '{'x' * 80}'"),
     (["reconstruct", "--K", "x" * 81],
      "--K must be an integer, got a string of 81 characters"),
+    (["moments", "--jacobi", '{"kind":"' + "x" * 5000 + '"}'],
+     "--jacobi: unknown Jacobi sequence kind: a string of 5,000 characters"),
+    (["moments", "--jacobi", '{"kind":"q","' + "x" * 5000 + '":1}'],
+     "--jacobi: kind 'q' takes no field a string of 5,000 characters"),
 ]
 
 
@@ -1327,7 +1339,7 @@ def test_parse_jacobi_forms():
     with pytest.raises(ValueError, match="^--jacobi: JSON nests too deeply$"):
         parse_jacobi(f'{{"kind":[{kind}]}}')
     # brackets in a string, closed or not, do not count
-    with pytest.raises(ValueError, match=r"unknown Jacobi sequence kind: '\[{200}'"):
+    with pytest.raises(ValueError, match="kind: a string of 200 characters$"):
         parse_jacobi('{"kind":"' + "[" * 200 + '"}')
     with pytest.raises(ValueError, match="Unterminated string"):
         parse_jacobi(r'{"kind":"\"' + "[" * 200 + "}")
@@ -1426,28 +1438,30 @@ loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("fockmoment
 print(code, ",".join(loaded), "json" in set(sys.modules) - before, file=sys.stderr)
 """
 
-MOMENTS = {"laws", "moments"}
+CONVERGE = {"laws", "moments"}
 SPECTRAL = {"laws", "spectral"}
 
 
+# JSON is written without json: only a JSON --jacobi value imports it
 @pytest.mark.parametrize(
     "args, loaded, uses_json",
     [
         (["--version"], set(), False),
-        (["moments", "--N", "4"], MOMENTS, False),
+        (["moments", "--N", "4"], {"moments"}, False),
         (["moments", "--N", "4", "--engine", "words", "--format", "csv"],
-         MOMENTS, False),
-        (["moments", "--jacobi", '{"kind": "standard"}', "--N", "4"], MOMENTS, True),
-        (["converge", "--N", "1,10"], MOMENTS, False),
-        (["converge", "--N", "1,10", "--format", "json"], MOMENTS, True),
-        (["converge", "--N", "1,10", "--plot", "c.svg"], MOMENTS | {"svgplot"}, False),
+         {"moments"}, False),
+        (["moments", "--jacobi", '{"kind": "standard"}', "--N", "4"], {"moments"}, True),
+        (["converge", "--N", "1,10"], CONVERGE, False),
+        (["converge", "--N", "1,10", "--format", "json"], CONVERGE, False),
+        (["converge", "--N", "1,10", "--plot", "c.svg"], CONVERGE | {"svgplot"}, False),
         (["reconstruct", "--N", "5"], SPECTRAL, False),
         (["reconstruct", "--N", "5", "--density", "--format", "csv"], SPECTRAL, False),
-        (["reconstruct", "--N", "5", "--format", "json"], SPECTRAL, True),
+        (["reconstruct", "--N", "5", "--format", "json"], SPECTRAL, False),
         (["reconstruct", "--N", "5", "--plot", "r.svg"], SPECTRAL | {"svgplot"}, False),
         (["classical", "--format", "csv"], {"laws"}, False),
-        (["classical", "--format", "json"], {"laws"}, True),
+        (["classical", "--format", "json"], {"laws"}, False),
         (["selfcheck", "--fast"], {"laws", "moments", "selfcheck", "spectral"}, False),
+        (["moments", "--N", "4", "--format", "json"], {"moments"}, False),
     ],
 )
 def test_command_imports_only_what_it_runs(tmp_path, args, loaded, uses_json):
@@ -1472,6 +1486,9 @@ STARTUP_ARGVS = [
     ["classical", "--format", "json"],
     ["selfcheck", "--fast"],
     ["reconstruct", "--N", "2", "--density", "--format", "csv", "--out", "r.csv"],
+    ["moments", "--N", "4", "--orders", "0,3,5,8", "--format", "json"],
+    ["converge", "--N", "1,10", "--format", "json"],
+    ["reconstruct", "--N", "2", "--K", "64", "--density", "--format", "json"],
 ]
 _REPORT_STARTUP = """
 import sys
@@ -1512,6 +1529,53 @@ def _readme_argvs():
     lines = [line.removeprefix("$ ") for block in blocks for line in block.splitlines()]
     return [shlex.split(line, comments=True)[1:]
             for line in lines if line.startswith("fockmoments ")]
+
+
+def test_no_command_imports_json_or_html(tmp_path):
+    # JSON output is written by the CLI, an SVG text escaped by svgplot
+    argvs = STARTUP_ARGVS + _readme_argvs()
+    report = _startup_report(tmp_path, {"json", "html", "html.entities"}, argvs=argvs)
+    assert report == repr([(0, [])] * len(argvs))
+
+
+# values of the shapes the CLI writes: None, ints, finite floats (the edge
+# cases always among them), Fraction strings and ASCII names
+_NAMES = st.text(string.ascii_letters + string.digits + "_", max_size=12)
+_JSON_LEAVES = (
+    st.none() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7])
+    | st.fractions().map(str) | _NAMES
+)
+
+
+def _json_documents(depth=4):
+    """Dicts with str keys, and lists, nested up to depth levels around leaves."""
+    values = _JSON_LEAVES
+    for _ in range(depth - 1):
+        values = (_JSON_LEAVES | st.lists(values, max_size=4)
+                  | st.dictionaries(_NAMES, values, max_size=4))
+    return st.dictionaries(_NAMES, values, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_json_documents())
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_outputs_match_json_dumps(capsys, monkeypatch, tmp_path):
+    # every JSON document among the startup argvs, and README's command
+    # lines as JSON, is laid out as json.dumps lays it out
+    monkeypatch.chdir(tmp_path)
+    readme = [[*argv, "--format", "json"] for argv in _readme_argvs()
+              if argv[0] != "selfcheck"]
+    argvs = [argv for argv in STARTUP_ARGVS if "json" in argv] + readme
+    assert {argv[0] for argv in argvs} == {"moments", "converge", "reconstruct",
+                                          "classical"}
+    for argv in argvs:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_well_formed_commands_do_not_load_argparse(tmp_path):
