@@ -9,19 +9,20 @@ Subcommands:
 - ``selfcheck``: internal consistency suites
 
 A well-formed command line is read from ``_FLAGS`` without argparse, which
-reads any other and writes ``--help``, ``--version`` and every usage error.
-``run`` names the command function, which parses and checks its own
+reads any other and writes ``--help``, ``--version`` and every usage error
+in its own words.  ``main`` runs ``cmd_<command>``, which checks its
 arguments before any work.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration,
-validation error, an ``--out`` or ``--plot`` path that cannot be
-written or a closed stdout (every byte goes through ``_write``), 3
-computational cap exceeded, a ``reconstruct`` truncation below
-K = N + 2, or eigensolver failure.  A ``--plot`` SVG is built and
-checked before any output, so a plot that cannot be drawn fails with
-nothing written; the file is written last, so when writing it fails the
-table has already been written.  Output is a pure function of the
-arguments; reruns are byte-identical.
+Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration, an
+``--out`` or ``--plot`` path that cannot be written or a closed stdout
+(every byte goes through ``_write``), 3 a cap exceeded, a ``reconstruct``
+truncation below K = N + 2, or eigensolver failure.  A ``--plot`` SVG is
+built and checked before any output, and written last, after the table.
+Output is a pure function of the arguments; reruns are byte-identical.
+An error line names a value longer than 80 characters, number or string,
+by its size; argparse's usage lines are left as they are.  A diagnostic
+that cannot be written to stderr is dropped, never written to stdout, and
+the exit code stays the documented one.
 """
 
 from __future__ import annotations
@@ -168,13 +169,9 @@ _FLAGS = {
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="fockmoments",
-        description=(
-            "Exact position moments of oscillator number states, their "
-            "arcsine-law limit, and spectral reconstructions."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="fockmoments", description=(
+        "Exact position moments of oscillator number states, their "
+        "arcsine-law limit, and spectral reconstructions."))
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -185,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(name, action="store_true", help=text)
             else:
                 p.add_argument(name, default=default, help=text, choices=choices)
-        p.set_defaults(run=globals()["cmd_" + command])  # per call, as tracers wrap it
     return parser
 
 
@@ -197,8 +193,7 @@ def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
     if command not in _FLAGS:
         return None
     flags = {flag[0]: flag for flag in _FLAGS[command][1]}
-    ns = SimpleNamespace(command=command, run=globals()["cmd_" + command],
-                         **{name[2:]: flag[1] for name, flag in flags.items()})
+    ns = SimpleNamespace(command=command, **{n[2:]: f[1] for n, f in flags.items()})
     tokens = iter(argv[1:])
     for name in tokens:
         if name not in flags:
@@ -210,6 +205,15 @@ def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
             return None
         setattr(ns, name[2:], value)  # a repeated flag keeps its last value
     return ns
+
+
+def _note(line: str) -> None:
+    """Write line to stderr, or drop it, as argparse does, when stderr is
+    None (fd 2 closed at start) or fails."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        sys.stderr = None  # its buffered line would fail the exit flush
 
 
 def _write(text: str, path: str | None = None) -> None:
@@ -330,7 +334,7 @@ def cmd_converge(ns: SimpleNamespace) -> int:
         names = ("scale", *names)
     cells = []
     for r in rows:
-        at = f" at N = {r.state}, order {r.order}"
+        at = f" at N = {_quoted(r.state)}, order {r.order}"
         values = (getattr(r, name) for name in names)
         cells.append((r.state, r.order, *(
             None if v is None else _exact_str(v, name + at)
@@ -340,10 +344,7 @@ def cmd_converge(ns: SimpleNamespace) -> int:
     if svg:
         _write(svg, ns.plot)
     elif ns.plot:
-        print(
-            "note: no nonzero difference at N >= 1, no plot written",
-            file=sys.stderr,
-        )
+        _note("note: no nonzero difference at N >= 1, no plot written")
     return 0
 
 
@@ -382,11 +383,8 @@ def cmd_reconstruct(ns: SimpleNamespace) -> int:
     measure = reconstruct_state_measure(seq, state, dim, scale=scale)
     lossless = lossless_order(state, dim)
     if lossless <= 2:
-        print(
-            f"warning: K = {dim} reproduces moments of N = {state} only "
-            f"up to order {lossless}",
-            file=sys.stderr,
-        )
+        _note(f"warning: K = {dim} reproduces moments of N = {state} only "
+              f"up to order {lossless}")
     ks = ks_distance_to_arcsine(measure)
     density_pts = None
     if ns.density:
@@ -415,9 +413,7 @@ def cmd_reconstruct(ns: SimpleNamespace) -> int:
     elif ns.format == "csv":
         _write_table(ns, None, ("location", "weight"), measure.atoms)
         if density_pts is not None:
-            dtext = "x,density\n" + "".join(
-                f"{x!r},{f!r}\n" for x, f in density_pts
-            )
+            dtext = "x,density\n" + "".join(f"{x!r},{f!r}\n" for x, f in density_pts)
             if ns.out:
                 _write(dtext, ns.out + ".density.csv")
             else:
@@ -482,20 +478,21 @@ def cmd_selfcheck(ns: SimpleNamespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
-    ns = _parse_canonical(argv)
-    if ns is None:
+    if (ns := _parse_canonical(argv)) is None:
         try:
             ns = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exc:
-            code = exc.code
-            return code if isinstance(code, int) else 2
+            return exc.code if isinstance(exc.code, int) else 2
     try:
-        return ns.run(ns)
+        # looked up per call, so a wrapper set on the module (a tracer) runs
+        return globals()["cmd_" + ns.command](ns)
     except (CapExceeded, EigensolverFailure, TruncationTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 3
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and exc.filename is not None:  # a path
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename)}"
+        _note(f"error: {exc}")
         return 2
 
 

@@ -40,9 +40,20 @@ class EigensolverFailure(RuntimeError):
 
 
 def _quoted(value: object) -> str:
-    """``repr(value)`` for an error message, or a string's length past 80."""
-    long = isinstance(value, str) and len(value) > 80
-    return f"a string of {len(value):,} characters" if long else repr(value)
+    """A value in a message, never raising: ``str`` of a number, ``repr`` of
+    the rest, or its size past 80 characters (a string's length) or digits."""
+    number = isinstance(value, (int, Fraction))
+    try:
+        text = str(value) if number else repr(value)
+    except ValueError:
+        return f"a number of more than {sys.get_int_max_str_digits():,} digits"
+    size = len(value) if isinstance(value, str) else len(text)
+    if size <= 80:
+        return text
+    if number:
+        return f"a number of {sum(c.isdigit() for c in text):,} digits"
+    kind = "string" if isinstance(value, str) else type(value).__name__
+    return f"a {kind} of {size:,} characters"
 
 
 def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
@@ -94,15 +105,6 @@ def _exact_str(value: Fraction, name: str) -> str:
         ) from None
 
 
-def _shown(value: Fraction) -> str:
-    """``str(value)`` for an error message, or a note of its size when a
-    part has more digits than the interpreter converts to a string."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"a number of more than {sys.get_int_max_str_digits():,} digits"
-
-
 def _as_rational(value: Union[int, str, Fraction], name: str) -> Fraction:
     """``as_fraction(value)``, its error prefixed with ``name``."""
     try:
@@ -116,7 +118,7 @@ def _as_positive(value: Union[int, str, Fraction], name: str) -> Fraction:
     ``as_fraction(value)``, or a ValueError naming it."""
     v = _as_rational(value, name)
     if v <= 0:
-        raise ValueError(f"{name} must be positive, got {_shown(v)}")
+        raise ValueError(f"{name} must be positive, got {_quoted(v)}")
     return v
 
 
@@ -174,7 +176,7 @@ class JacobiSequence(_Value):
         self, kind: str, q: Union[int, str, Fraction, None] = None, omegas: Sequence = ()
     ) -> None:
         if isinstance(omegas, str):
-            raise ValueError(f"weights must be a list, got {omegas!r}")
+            raise ValueError(f"weights must be a list, got {_quoted(omegas)}")
         omegas = tuple(omegas)
         if kind == "standard":
             if q is not None or omegas:
@@ -186,7 +188,7 @@ class JacobiSequence(_Value):
                 raise ValueError("q-deformed sequences take no explicit list")
             q = _as_rational(q, "q")
             if not 0 <= q <= 1:
-                raise ValueError(f"q must lie in [0, 1], got {_shown(q)}")
+                raise ValueError(f"q must lie in [0, 1], got {_quoted(q)}")
         elif kind == "explicit":
             if q is not None:
                 raise ValueError("explicit sequences take no deformation q")
@@ -224,7 +226,7 @@ class JacobiSequence(_Value):
         if n > len(self.omegas):
             raise ValueError(
                 f"explicit sequence has {len(self.omegas)} weights, "
-                f"omega_{n} is undefined"
+                f"omega_{_quoted(n)} is undefined"
             )
         return self.omegas[n - 1]
 
@@ -249,9 +251,8 @@ class JacobiSequence(_Value):
         for name in obj:
             if name not in ("kind", *_JSON_FIELDS[kind]):
                 raise ValueError(f"kind {kind!r} takes no field {_quoted(name)}")
-        if kind == "explicit":
-            if not isinstance(obj.get("omega"), list):
-                raise ValueError("kind 'explicit' requires a list field 'omega'")
+        if kind == "explicit" and not isinstance(obj.get("omega"), list):
+            raise ValueError("kind 'explicit' requires a list field 'omega'")
         return JacobiSequence(kind, obj.get("q"), obj.get("omega", ()))
 
     def to_json(self) -> dict:
@@ -293,11 +294,11 @@ def _index(value: int, name: str, least: int = 0, cap: int | None = None) -> int
     naming it, and a value above ``cap`` raises CapExceeded.
     """
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an int, got {_quoted(value)}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {_quoted(value)}")
     if cap is not None and value > cap:
-        raise CapExceeded(f"{name} {value} exceeds the cap {cap}")
+        raise CapExceeded(f"{name} {_quoted(value)} exceeds the cap {cap}")
     return value
 
 

@@ -23,6 +23,7 @@ from .fock import (
     JacobiSequence,
     _as_positive,
     _index,
+    _quoted,
     canonical_scale,
     state_index,
 )
@@ -42,7 +43,8 @@ def word_matrix_element(seq: JacobiSequence, state: int, word: str) -> Fraction:
     """
     if not isinstance(word, str) or not word or word.strip("ac"):
         raise ValueError(
-            f"a ladder word is a non-empty string of 'a' and 'c', got {word!r}"
+            "a ladder word is a non-empty string of 'a' and 'c', "
+            f"got {_quoted(word)}"
         )
     n = state_index(state)
     level = n
@@ -204,7 +206,7 @@ def moment_envelope(state: int, order: int) -> tuple[Fraction, Fraction]:
     """
     n = _index(state, "state level for the envelope", least=1)
     if _index(order, "moment order") % 2:
-        raise ValueError(f"envelope is defined for even orders, got {order}")
+        raise ValueError(f"envelope is defined for even orders, got {_quoted(order)}")
     from .laws import arcsine_moment  # here, so a moments call never loads laws
     m = order // 2
     target = arcsine_moment(order)

@@ -43,12 +43,7 @@ def _sequences() -> list[tuple[str, JacobiSequence]]:
         ("q=0", JacobiSequence.q_deformed(0)),
         ("q=1/2", JacobiSequence.q_deformed(Fraction(1, 2))),
         ("q=1", JacobiSequence.q_deformed(1)),
-        (
-            "explicit",
-            JacobiSequence.explicit(
-                [Fraction(n + 1, 2) for n in range(1, 25)]
-            ),
-        ),
+        ("explicit", JacobiSequence.explicit([Fraction(k, 2) for k in range(2, 26)])),
     ]
 
 

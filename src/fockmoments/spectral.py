@@ -34,6 +34,7 @@ from .fock import (
     _Value,
     _as_positive,
     _index,
+    _quoted,
     state_index,
     to_float,
 )
@@ -374,7 +375,7 @@ def eigendecompose(
     if any(matrix.diag):
         raise ValueError("eigendecompose takes a zero diagonal only")
     if _index(row, "row") >= dim:
-        raise ValueError(f"row {row} outside 0..{dim - 1}")
+        raise ValueError(f"row {_quoted(row)} outside 0..{dim - 1}")
 
     values, squared = _golub_kahan(matrix.offdiag, row)
     pairs = sorted(zip(values, squared))
@@ -449,7 +450,8 @@ def _check_truncation(n: int, dim: int) -> None:
     """K >= N + 2, then K within the eigensolver's cap."""
     if _index(dim, "truncation dimension", least=1) < n + 2:
         raise TruncationTooSmall(
-            f"truncation dimension {dim} is below state + 2 = {n + 2}"
+            f"truncation dimension {_quoted(dim)} is below state + 2 = "
+            f"{_quoted(n + 2)}"
         )
     _index(dim, "truncation dimension", cap=EIGEN_DIM_CAP)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .fock import to_float
+from .fock import _quoted, to_float
 from .laws import arcsine_density
 
 
@@ -163,9 +163,10 @@ def _convergence_plot(rows: Sequence) -> str | None:
     for r in sorted(rows, key=lambda r: r.order):
         if r.state == 0:
             continue
-        diff = to_float(r.abs_diff, f"order {r.order} abs_diff at N = {r.state}")
+        at = f"N = {_quoted(r.state)}"
+        diff = to_float(r.abs_diff, f"order {r.order} abs_diff at {at}")
         if diff:
-            n = to_float(r.state, f"N = {r.state}")
+            n = to_float(r.state, at)
             by_order.setdefault(r.order, []).append((n, diff))
     if not by_order:
         return None

@@ -57,7 +57,7 @@ FLOAT_RANGE_CASES = [
     (["classical", "--A2=1e-400", "--orders", "2"], "--A2"),
     # a plotted N past the float range, its difference 1/(2N) a subnormal
     (["converge", "--N", f"1,{10**309}", "--orders", "2", "--plot", "x.svg"],
-     f"N = {10**309}"),
+     "N = a number of 310 digits"),
     # atoms at +-3.1e-312, where weight over gap overflows
     (["reconstruct", "--jacobi", "explicit:1e-323,1e-323", "--N", "0", "--K", "3",
       "--scale", "1e300", "--plot", "n.svg"], "density estimate at x = "),
@@ -847,6 +847,9 @@ LONG_ARGUMENT_CASES = [
      "--jacobi: unknown Jacobi sequence kind: a string of 5,000 characters"),
     (["moments", "--jacobi", '{"kind":"q","' + "x" * 5000 + '":1}'],
      "--jacobi: kind 'q' takes no field a string of 5,000 characters"),
+    # a path that cannot be opened
+    (["moments", "--out", "missing/" + "x" * 200],
+     "[Errno 2] No such file or directory: a string of 208 characters"),
 ]
 
 
@@ -854,6 +857,45 @@ LONG_ARGUMENT_CASES = [
 def test_long_argument_is_quoted_by_length(capsys, monkeypatch, tmp_path, args, line):
     monkeypatch.chdir(tmp_path)
     assert _one_line_error(capsys, tmp_path, args, 2, line) == f"error: {line}\n"
+
+
+def _long_number_cases():
+    """Numbers of 81, 4,000 and 4,300 digits in each numeric flag, each with
+    its exit code.  argparse passes a leading "-" through as a value, N + 64
+    and orders x panels have a digit more than N and panels, and 4,300
+    digits is the most the interpreter converts between int and string."""
+    for size in (81, 4000, 4300):
+        nines = "9" * size
+        cases = [
+            ("N + 64", ["reconstruct", "--N", nines], 3),
+            ("N + 2", ["reconstruct", "--N", nines, "--K", "5"], 3),
+            ("--K", ["reconstruct", "--K", nines], 3),
+            ("--orders", ["moments", "--orders", "8" * size], 3),
+            ("orders x panels", ["classical", "--panels", nines], 3),
+            ("--A2", ["classical", "--A2", nines], 2),  # past the float range
+            ("omega_N", ["moments", "--jacobi", "explicit:1", "--N", nines,
+                         "--orders", "2"], 2),
+        ]
+        if size > 81:  # the table's numbers pass the digit limit
+            cases += [("--N", ["converge", "--N", nines], 3),
+                      ("--scale", ["moments", "--orders", "2,4", "--scale", nines], 3)]
+        for command, flag in [("moments", "--N"), ("reconstruct", "--K"),
+                              ("moments", "--orders"), ("classical", "--panels"),
+                              ("moments", "--scale"), ("classical", "--A2")]:
+            cases.append((f"{flag} negative", [command, flag, "-" + nines], 2))
+        for name, args, code in cases:
+            yield pytest.param(args, code, id=f"{name} {size}")
+
+
+LONG_NUMBER_CASES = list(_long_number_cases())
+
+
+@pytest.mark.parametrize("args, code", LONG_NUMBER_CASES)
+def test_long_number_is_named_by_its_size(capsys, monkeypatch, tmp_path, args, code):
+    monkeypatch.chdir(tmp_path)
+    err = _one_line_error(capsys, tmp_path, args, code, "")
+    assert len(err.encode()) < 200
+    assert "Exceeds the limit" not in err
 
 
 @pytest.mark.parametrize("args", UNWRITABLE_CASES)
@@ -1411,6 +1453,37 @@ def test_module_entry_matches_main_and_freezes_at_exit(capsys, args, code):
     # the hook ran after console_main returned, and saw the freeze
     assert proc.stderr.endswith("True\n")
     assert (proc.returncode, proc.stdout, proc.stderr[:-len("True\n")]) == expected
+
+
+def _run_with_stderr(redirect, args):
+    # sys.executable, not a `python` shim: the shim's shell would open its
+    # own file on fd 2, so the interpreter would start with fd 2 open.
+    # stderr buffered, as by default, keeps a line that failed to be
+    # written, and the interpreter's exit flush would fail on it
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+         "fockmoments", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+WARNED = ["reconstruct", "--N", "0", "--K", "2", "--format", "json"]
+
+
+def test_stderr_closed_at_start_keeps_stdout_and_exit_code():
+    proc = _run_with_stderr("2>&-", WARNED)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["K"] == 2
+    assert _run_with_stderr("2>&-", ["moments", "--N", "x"]).returncode == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stderr_keeps_stdout_and_exit_code():
+    proc = _run_with_stderr("2>/dev/full", WARNED)
+    assert (proc.returncode, proc.stdout) == (0, _run_with_stderr("", WARNED).stdout)
+    proc = _run_with_stderr("2>/dev/full", ["moments", "--N", "x"])
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_stdout_closed_at_start_exits_2(tmp_path):

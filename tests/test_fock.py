@@ -29,6 +29,7 @@ from fockmoments.moments import (
     moment_by_words,
     moment_envelope,
     moments_by_walk,
+    word_matrix_element,
 )
 from fockmoments.spectral import (
     EIGEN_DIM_CAP,
@@ -125,6 +126,32 @@ def test_nonpositive_value_error_names_a_long_number(call, name, cases):
         with pytest.raises(ValueError) as info:
             call(value)
         assert str(info.value) == name + tail, label
+
+
+# library arguments whose text is longer than 80 characters, each with its
+# error: named by its size
+LONG_ARGUMENTS = {
+    "explicit-string": (lambda: JacobiSequence("explicit", omegas="1," * 2500),
+                        "weights must be a list, got a string of 5,000 characters"),
+    "state-string": (lambda: moments_by_walk(STANDARD, "x" * 5000, [2]),
+                     "number state index must be an int, got a string of 5,000 "
+                     "characters"),
+    "word": (lambda: word_matrix_element(STANDARD, 0, "b" * 5000),
+             "a ladder word is a non-empty string of 'a' and 'c', got a string "
+             "of 5,000 characters"),
+    "state-list": (lambda: moments_by_walk(STANDARD, [1] * 100, [2]),
+                   "number state index must be an int, got a list of 300 characters"),
+    "scale-fraction": (lambda: moments_by_walk(STANDARD, 0, [2], -Fraction(10**90, 7)),
+                       "scale must be positive, got a number of 92 digits"),
+}
+
+
+@pytest.mark.parametrize("call, message", LONG_ARGUMENTS.values(),
+                         ids=LONG_ARGUMENTS.keys())
+def test_long_argument_is_named_by_its_size(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # decimal exponents past 10^6, however written, are refused before Fraction
