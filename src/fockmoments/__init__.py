@@ -15,7 +15,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("cli", "fock", "laws", "moments", "selfcheck", "spectral", "svgplot")
+_SUBMODULES = ("cli", "cli_float", "fock", "laws", "moments", "selfcheck", "spectral",
+               "svgplot", "words")
 
 # public name -> the submodule that defines it
 _HOME = {
@@ -31,14 +32,14 @@ _HOME = {
             "validate_moments",
         ),
         "moments": (
-            "ConvergenceRow", "WORD_ORDER_CAP", "convergence_table", "moment_by_words",
-            "moment_envelope", "moments_by_walk", "word_matrix_element",
+            "ConvergenceRow", "convergence_table", "moment_envelope", "moments_by_walk",
         ),
         "spectral": (
             "DiscreteMeasure", "EIGEN_DIM_CAP", "Tridiagonal", "density_spectrum_sup",
             "eigendecompose", "hermite_density_grid", "ks_distance_to_arcsine",
             "lossless_order", "reconstruct_state_measure", "truncated_position_matrix",
         ),
+        "words": ("WORD_ORDER_CAP", "moment_by_words", "word_matrix_element"),
     }.items()
     for name in names
 }

@@ -11,7 +11,9 @@ Subcommands:
 A well-formed command line is read from ``_FLAGS`` without argparse, which
 reads any other and writes ``--help``, ``--version`` and every usage error
 in its own words.  ``main`` runs ``cmd_<command>``, which checks its
-arguments before any work.
+arguments before any work.  This module defines the two exact commands,
+``moments`` and ``converge``; ``main`` finds any other in ``cli_float``,
+which it loads only then, so an exact call never compiles it.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 invalid configuration, an
 ``--out`` or ``--plot`` path that cannot be written or a closed stdout
@@ -22,15 +24,18 @@ Output is a pure function of the arguments; reruns are byte-identical.
 An error line names a value longer than 80 characters, number or string,
 by its size; argparse's usage lines are left as they are.  A diagnostic
 that cannot be written to stderr is dropped, never written to stdout, and
-the exit code stays the documented one.
+the exit code stays the documented one; so is argparse's usage for a
+refused argv when stderr is None.  ``_write`` flushes stdout, so a table
+that cannot be written exits 2 under any buffering.
 """
 
 from __future__ import annotations
 
 import gc
-import math
+import io
 import sys
 from fractions import Fraction
+from importlib import import_module
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -48,17 +53,12 @@ from .fock import (
     _index,
     _quoted,
     canonical_scale,
-    to_float,
 )
 
 # Deepest nesting a --jacobi JSON value may have; a valid one nests 2
 # deep.  Where json.loads gives up on a deep value depends on the
 # interpreter version and on the stack, so the depth is checked first.
 _JSON_DEPTH_CAP = 100
-
-# Most sine evaluations, orders x panels, that ``classical`` may spend on
-# its quadrature column: 10^7 take a few seconds.
-_QUADRATURE_BUDGET = 10**7
 
 
 def parse_jacobi(text: str) -> JacobiSequence:
@@ -225,7 +225,12 @@ def _write(text: str, path: str | None = None) -> None:
         # Python sets sys.stdout to None when the process starts with fd 1 closed
         raise OSError("stdout is closed")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # fails here, not in the interpreter's exit flush
+        except OSError:
+            sys.stdout = None  # its buffered bytes would fail the exit flush
+            raise
 
 
 def _json_dumps(obj: object) -> str:
@@ -284,16 +289,18 @@ def cmd_moments(ns: SimpleNamespace) -> int:
     orders = _parse_int_list(ns.orders, "--orders")
     scale = _parse_scale(ns.scale)
 
-    from .moments import moment_by_words, moments_by_walk
-
     scale = canonical_scale(seq, state) if scale == "canonical" else scale
     if ns.engine == "words":  # largest first: a cap fails before any sum
+        from .words import moment_by_words
+
         by_order = {
             k: moment_by_words(seq, state, k, scale=scale)
             for k in sorted(set(orders), reverse=True)
         }
         moments = [by_order[k] for k in orders]
     else:
+        from .moments import moments_by_walk
+
         moments = moments_by_walk(seq, state, orders, scale=scale)
     # only JSON prints the sequence and the scale
     meta = None
@@ -348,144 +355,25 @@ def cmd_converge(ns: SimpleNamespace) -> int:
     return 0
 
 
-def _density_points(
-    state: int, scale: Fraction, lo: float, hi: float
-) -> list[tuple[float, float]]:
-    from .spectral import hermite_density_grid
-
-    # density of the scaled position: sqrt(s) * |phi_N(x sqrt(s))|^2,
-    # at 257 points from lo to hi
-    root = math.sqrt(float(scale))
-    xs = [lo + (hi - lo) * i / 256 for i in range(257)]
-    density = hermite_density_grid(state, [x * root for x in xs])
-    return [(x, root * v) for x, v in zip(xs, density)]
-
-
-def cmd_reconstruct(ns: SimpleNamespace) -> int:
-    seq = parse_jacobi(ns.jacobi)
-    state = _parse_single_int(ns.N, "--N")
-    dim = state + 64 if ns.K is None else _parse_single_int(ns.K, "--K", least=1)
-    scale = _parse_scale(ns.scale)
-
-    from .spectral import (
-        _check_truncation,
-        ks_distance_to_arcsine,
-        lossless_order,
-        reconstruct_state_measure,
-    )
-
-    if ns.density and seq.kind != "standard":
-        raise ValueError("--density is defined for the standard sequence only")
-    # K bounds N, so a canonical scale such as [N]_q is computed for a
-    # small N only
-    _check_truncation(state, dim)
-    scale = canonical_scale(seq, state) if scale == "canonical" else scale
-    measure = reconstruct_state_measure(seq, state, dim, scale=scale)
-    lossless = lossless_order(state, dim)
-    if lossless <= 2:
-        _note(f"warning: K = {dim} reproduces moments of N = {state} only "
-              f"up to order {lossless}")
-    ks = ks_distance_to_arcsine(measure)
-    density_pts = None
-    if ns.density:
-        density_pts = _density_points(
-            state, scale, measure.atoms[0][0], measure.atoms[-1][0]
-        )
-    svg = None
-    if ns.plot:
-        from .svgplot import _reconstruction_plot
-
-        svg = _reconstruction_plot(measure.atoms, density_pts, state, dim)
-
-    if ns.format == "json":
-        payload = {
-            "jacobi": seq.to_json(),
-            "N": state,
-            "K": dim,
-            "scale": _exact_str(scale, "--scale"),
-            "ks_to_arcsine": ks,
-            "locations": [x for x, _ in measure.atoms],
-            "weights": [w for _, w in measure.atoms],
-        }
-        if density_pts is not None:
-            payload["density_grid"] = [[x, f] for x, f in density_pts]
-        _write(_json_dumps(payload), ns.out)
-    elif ns.format == "csv":
-        _write_table(ns, None, ("location", "weight"), measure.atoms)
-        if density_pts is not None:
-            dtext = "x,density\n" + "".join(f"{x!r},{f!r}\n" for x, f in density_pts)
-            if ns.out:
-                _write(dtext, ns.out + ".density.csv")
-            else:
-                _write("\n" + dtext)
-        _write(f"ks_to_arcsine = {ks!r}\n")  # stdout even under --out
-    else:
-        lines = [
-            f"# N = {state}, K = {dim}, scale = {_exact_str(scale, '--scale')}",
-            "# location weight",
-        ]
-        lines.extend(f"{x!r} {w!r}" for x, w in measure.atoms)
-        if density_pts is not None:
-            lines.append("# x density")
-            lines.extend(f"{x!r} {f!r}" for x, f in density_pts)
-        lines.append(f"ks_to_arcsine = {ks!r}")
-        _write("\n".join(lines) + "\n", ns.out)
-
-    if svg:
-        _write(svg, ns.plot)
-    return 0
-
-
-def cmd_classical(ns: SimpleNamespace) -> int:
-    a2 = _as_positive(ns.A2, "--A2")
-    orders = _parse_int_list(ns.orders, "--orders")
-    panels = _parse_single_int(ns.panels, "--panels", least=16)
-    _index(len(orders) * panels, "quadrature work (orders x panels)",
-           cap=_QUADRATURE_BUDGET)
-
-    from .laws import classical_moment, classical_moment_quadrature
-
-    amplitude = math.sqrt(to_float(a2, "--A2"))
-    if amplitude == 0.0:
-        raise ValueError("--A2 is too small for a float")
-    rows = []
-    for order in orders:
-        exact = classical_moment(a2, order)
-        quad = classical_moment_quadrature(amplitude, order, panels=panels)
-        diff = abs(to_float(exact, f"order {order} moment") - quad)
-        rows.append((order, _exact_str(exact, f"order {order} moment"), quad, diff))
-    # only JSON prints --A2
-    meta = None
-    if ns.format == "json":
-        meta = {"A2": _exact_str(a2, "--A2"), "panels": panels}
-    columns = ("order", "exact", "quadrature", "abs_diff")
-    _write_table(ns, meta, columns, rows, lambda r: "{} {} {!r} {:.3e}".format(*r))
-    return 0
-
-
-def cmd_selfcheck(ns: SimpleNamespace) -> int:
-    from .selfcheck import run_selfcheck
-
-    results = run_selfcheck(fast=ns.fast)
-    passed = sum(r.passed for r in results)
-    _write("".join(
-        f"ok {r.name} ({r.checks} checks)\n" if r.passed
-        else f"FAIL {r.name}: {r.counterexample}\n"
-        for r in results
-    ) + f"{passed}/{len(results)} suites passed\n")
-    return 0 if passed == len(results) else 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
     if (ns := _parse_canonical(argv)) is None:
+        # argparse prints a refused argv's usage to stdout when stderr is
+        # None, so a sink takes it; --help and --version write to stdout
+        stderr, sys.stderr = sys.stderr, sys.stderr or io.StringIO()
         try:
             ns = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
+        finally:
+            sys.stderr = stderr
+    name = "cmd_" + ns.command
     try:
-        # looked up per call, so a wrapper set on the module (a tracer) runs
-        return globals()["cmd_" + ns.command](ns)
+        # an exact command runs from here, any other from cli_float, loaded
+        # only for it; looked up per call, so a wrapper set on the module (a
+        # tracer) runs
+        run = globals().get(name) or getattr(import_module(".cli_float", __package__), name)
+        return run(ns)
     except (CapExceeded, EigensolverFailure, TruncationTooSmall) as exc:
         _note(f"error: {exc}")
         return 3

@@ -17,13 +17,9 @@ from typing import Callable, Iterator, NamedTuple
 
 from .fock import STANDARD, JacobiSequence, canonical_scale
 from .laws import validate_moments
-from .moments import (
-    moment_by_words,
-    moment_envelope,
-    moments_by_walk,
-    word_matrix_element,
-)
+from .moments import moment_envelope, moments_by_walk
 from .spectral import density_spectrum_sup
+from .words import moment_by_words, word_matrix_element
 
 # Mid-jump reading of a step CDF against the state's CDF from the ladder
 # identity; see spectral.density_spectrum_sup for why exact agreement fails.

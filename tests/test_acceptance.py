@@ -26,17 +26,13 @@ from fockmoments.laws import (
     vacuum_gaussian_moment,
     validate_moments,
 )
-from fockmoments.moments import (
-    moment_by_words,
-    moment_envelope,
-    moments_by_walk,
-    word_matrix_element,
-)
+from fockmoments.moments import moment_envelope, moments_by_walk
 from fockmoments.spectral import (
     hermite_density_grid,
     ks_distance_to_arcsine,
     reconstruct_state_measure,
 )
+from fockmoments.words import moment_by_words, word_matrix_element
 
 SEQUENCES = [
     ("standard", STANDARD),

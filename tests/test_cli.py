@@ -35,12 +35,17 @@ from fockmoments.fock import JacobiSequence
 BIG = "1" + "0" * 400
 
 # lets a subprocess import the package from this source tree, installed or
-# not, and makes any warning in it an error
+# not, and makes any warning in it an error.  It keeps PYTHONUNBUFFERED as
+# the caller's environment has it: set, a subprocess writes each stdout and
+# stderr write through at once; unset, as by default, stdout is
+# block-buffered until the exit flush.  BUFFERED_ENV removes it, for the tests
+# of buffered streams
 SUBPROCESS_ENV = {
     **os.environ,
     "PYTHONPATH": str(Path(fockmoments.__file__).resolve().parents[1]),
     "PYTHONWARNINGS": "error",
 }
+BUFFERED_ENV = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
 
 # rationals past the float range, each with the name its error line gives
 FLOAT_RANGE_CASES = [
@@ -1006,17 +1011,17 @@ def test_density_past_the_float_range_of_phi_0(capsys):
     ],
 )
 def test_integer_flag_errors(capsys, monkeypatch, tmp_path, args, code, line):
-    import fockmoments.moments
+    import fockmoments.words
 
     summed = []
-    real = fockmoments.moments.moment_by_words
+    real = fockmoments.words.moment_by_words
 
     def recorder(*call, **kwargs):
         value = real(*call, **kwargs)
         summed.append(call)  # a sum that ran to the end
         return value
 
-    monkeypatch.setattr(fockmoments.moments, "moment_by_words", recorder)
+    monkeypatch.setattr(fockmoments.words, "moment_by_words", recorder)
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
     err = _one_line_error(capsys, tmp_path, args, code, line)
@@ -1460,11 +1465,10 @@ def _run_with_stderr(redirect, args):
     # own file on fd 2, so the interpreter would start with fd 2 open.
     # stderr buffered, as by default, keeps a line that failed to be
     # written, and the interpreter's exit flush would fail on it
-    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
          "fockmoments", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=BUFFERED_ENV, timeout=120,
     )
 
 
@@ -1476,6 +1480,11 @@ def test_stderr_closed_at_start_keeps_stdout_and_exit_code():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["K"] == 2
     assert _run_with_stderr("2>&-", ["moments", "--N", "x"]).returncode == 2
+    # argparse would print a refused argv's usage on stdout
+    proc = _run_with_stderr("2>&-", ["moments", "--bogus"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    proc = _run_with_stderr("2>&-", ["--version"])
+    assert (proc.returncode, proc.stdout) == (0, f"fockmoments {fockmoments.__version__}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1500,29 +1509,77 @@ def test_stdout_closed_at_start_exits_2(tmp_path):
     assert out.read_text(encoding="utf-8").startswith("location,weight\n")
 
 
+CONVERGE_ARGV = ["converge", "--N", "1,10,100,1000", "--orders", "2,4,6,8"]
+
+
+def _run_buffered(args, stdout, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "fockmoments", *args], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["moments", "--N", "2"],
+    [*CONVERGE_ARGV, "--plot", "c.svg"],
+    ["reconstruct", "--N", "2", "--format", "csv", "--density"],
+    ["classical", "--format", "json"],
+    ["selfcheck", "--fast"],
+])
+def test_full_stdout_exits_2_when_buffered(tmp_path, args):
+    # a buffered table fails when _write flushes it, as an unbuffered one
+    # fails on its write, so the plot after it is not written either
+    with open("/dev/full", "w") as full:
+        proc = _run_buffered(args, full, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: [Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stdout_pipe_closed_by_reader_exits_2_when_buffered():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        proc = _run_buffered(CONVERGE_ARGV, write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
 # runs cli.main on argv, then reports on the last stderr line the exit
-# code, the fockmoments submodules loaded, and whether json was imported
+# code, the fockmoments submodules loaded, whether json was imported, and
+# the commands and word engine that those submodules define
 _REPORT_IMPORTS = """
 import sys
 before = set(sys.modules)
 from fockmoments import cli
 code = cli.main(sys.argv[1:])
-loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("fockmoments."))
-print(code, ",".join(loaded), "json" in set(sys.modules) - before, file=sys.stderr)
+modules = [m for n, m in list(sys.modules.items()) if n.startswith("fockmoments.")]
+loaded = sorted(m.__name__.split(".")[1] for m in modules)
+defined = sorted(
+    name for m in modules for name, value in vars(m).items()
+    if (name.startswith("cmd_") or name == "moment_by_words")
+    and value.__module__ == m.__name__
+)
+print(code, ",".join(loaded), "json" in set(sys.modules) - before, ",".join(defined),
+      file=sys.stderr)
 """
 
 CONVERGE = {"laws", "moments"}
-SPECTRAL = {"laws", "spectral"}
+SPECTRAL = {"cli_float", "laws", "spectral"}
 
 
-# JSON is written without json: only a JSON --jacobi value imports it
+# JSON is written without json: only a JSON --jacobi value imports it.  The
+# word engine and the commands that are not exact load their own modules,
+# which a walk moments call and a converge call never compile
 @pytest.mark.parametrize(
     "args, loaded, uses_json",
     [
         (["--version"], set(), False),
         (["moments", "--N", "4"], {"moments"}, False),
         (["moments", "--N", "4", "--engine", "words", "--format", "csv"],
-         {"moments"}, False),
+         {"words"}, False),
         (["moments", "--jacobi", '{"kind": "standard"}', "--N", "4"], {"moments"}, True),
         (["converge", "--N", "1,10"], CONVERGE, False),
         (["converge", "--N", "1,10", "--format", "json"], CONVERGE, False),
@@ -1531,9 +1588,10 @@ SPECTRAL = {"laws", "spectral"}
         (["reconstruct", "--N", "5", "--density", "--format", "csv"], SPECTRAL, False),
         (["reconstruct", "--N", "5", "--format", "json"], SPECTRAL, False),
         (["reconstruct", "--N", "5", "--plot", "r.svg"], SPECTRAL | {"svgplot"}, False),
-        (["classical", "--format", "csv"], {"laws"}, False),
-        (["classical", "--format", "json"], {"laws"}, False),
-        (["selfcheck", "--fast"], {"laws", "moments", "selfcheck", "spectral"}, False),
+        (["classical", "--format", "csv"], {"cli_float", "laws"}, False),
+        (["classical", "--format", "json"], {"cli_float", "laws"}, False),
+        (["selfcheck", "--fast"],
+         {"cli_float", "laws", "moments", "selfcheck", "spectral", "words"}, False),
         (["moments", "--N", "4", "--format", "json"], {"moments"}, False),
     ],
 )
@@ -1542,10 +1600,13 @@ def test_command_imports_only_what_it_runs(tmp_path, args, loaded, uses_json):
         [sys.executable, "-c", _REPORT_IMPORTS, *args],
         capture_output=True, text=True, cwd=tmp_path, env=SUBPROCESS_ENV, timeout=120,
     )
-    code, modules, json_imported = proc.stderr.splitlines()[-1].split(" ")
+    code, modules, json_imported, defined = proc.stderr.splitlines()[-1].split(" ")
     assert code == "0"
     assert set(modules.split(",")) == {"cli", "fock"} | loaded
     assert json_imported == str(uses_json)
+    if args[0] in ("moments", "converge") and "words" not in args:
+        # only the two exact commands, and no word engine
+        assert defined == "cmd_converge,cmd_moments"
 
 
 # every command runs in one interpreter: a module one of them imports

@@ -23,14 +23,7 @@ from fockmoments.laws import (
     classical_moment_quadrature,
     vacuum_gaussian_moment,
 )
-from fockmoments.moments import (
-    WORD_ORDER_CAP,
-    convergence_table,
-    moment_by_words,
-    moment_envelope,
-    moments_by_walk,
-    word_matrix_element,
-)
+from fockmoments.moments import convergence_table, moment_envelope, moments_by_walk
 from fockmoments.spectral import (
     EIGEN_DIM_CAP,
     DiscreteMeasure,
@@ -41,6 +34,7 @@ from fockmoments.spectral import (
     reconstruct_state_measure,
     truncated_position_matrix,
 )
+from fockmoments.words import WORD_ORDER_CAP, moment_by_words, word_matrix_element
 
 # a negative rational past the interpreter's 4,300-digit string limit
 HUGE_NEGATIVE = Fraction(-10**5000)

@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 
 from fockmoments.fock import CapExceeded, JacobiSequence, STANDARD
 from fockmoments.laws import arcsine_moment, vacuum_gaussian_moment, validate_moments
-from fockmoments.moments import (
-    WORD_ORDER_CAP,
-    convergence_table,
-    moment_by_words,
-    moment_envelope,
-    moments_by_walk,
-    word_matrix_element,
-)
+from fockmoments.moments import convergence_table, moment_envelope, moments_by_walk
 from fockmoments.selfcheck import _standard_closed_form
+from fockmoments.words import WORD_ORDER_CAP, moment_by_words, word_matrix_element
 
 Q_HALF = JacobiSequence.q_deformed(Fraction(1, 2))
 EXPLICIT = JacobiSequence.explicit([Fraction(n + 1, 2) for n in range(1, 40)])

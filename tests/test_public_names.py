@@ -10,7 +10,8 @@ import pytest
 import fockmoments
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SUBMODULES = ("cli", "fock", "laws", "moments", "selfcheck", "spectral", "svgplot")
+SUBMODULES = ("cli", "cli_float", "fock", "laws", "moments", "selfcheck", "spectral",
+              "svgplot", "words")
 
 
 def _readme_public_names():
@@ -41,7 +42,7 @@ def test_star_import_binds_each_name_to_its_definition(monkeypatch):
     for name, value in namespace.items():
         homes = [
             getattr(fockmoments, module)
-            for module in ("fock", "laws", "moments", "spectral")
+            for module in ("fock", "laws", "moments", "spectral", "words")
             if hasattr(getattr(fockmoments, module), name)
         ]
         assert homes and all(getattr(m, name) is value for m in homes), name
